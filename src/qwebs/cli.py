@@ -311,9 +311,6 @@ def run(argv):
     try:
         ns = parser.parse_args(argv)
         return ns.handler(ns)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except IrreducibleToFinite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

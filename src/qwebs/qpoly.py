@@ -299,20 +299,19 @@ def qbinom(n, k):
 def qbinom_ext(n, r):
     """Quantum binomial [n; r] for arbitrary integer n and r >= 0.
 
-    Product form [n][n-1]...[n-r+1] / [r]!; for negative n this is
-    (-1)^r [r-n-1; r], so it still lands in Z[q, q^-1]. The restricted
-    qbinom above is the public face; this one exists for commutation
-    formulas whose weight argument can go negative.
+    The product form [n][n-1]...[n-r+1] / [r]!, read off the cached qbinom:
+    (-1)^r [r-n-1; r] for negative n, zero for 0 <= n < r, and [n; r]
+    otherwise, so it always lands in Z[q, q^-1]. The restricted qbinom
+    above is the public face; this one exists for commutation formulas
+    whose weight argument can go negative.
     """
     if r < 0:
         raise ValueError("lower index must be >= 0")
-    num = LaurentPoly.one()
-    for i in range(1, r + 1):
-        num = num * qint_signed(n + 1 - i)
-    den = LaurentPoly.one()
-    for i in range(1, r + 1):
-        den = den * qint(i)
-    return num.exact_divide(den)
+    if n < 0:
+        return (-1) ** r * qbinom(r - n - 1, r)
+    if n < r:
+        return LaurentPoly.zero()
+    return qbinom(n, r)
 
 
 class PolyRing:

@@ -89,10 +89,6 @@ class FockBasis:
         return f"FockBasis(N={self.N}, factors={self.factors})"
 
 
-def fock_elem_str(elem):
-    return "|".join("{" + ",".join(str(i) for i in T) + "}" for T in elem)
-
-
 class QMatrix:
     """Sparse matrix over Z[q, q^-1]; zero entries are never stored."""
 
@@ -182,13 +178,6 @@ class QMatrix:
                 e[rc] = e[rc] + prod_ if rc in e else prod_
         return QMatrix(self.nrows, other.ncols, e)
 
-    def transpose(self):
-        return QMatrix(self.ncols, self.nrows, {(c, r): v for (r, c), v in self._e.items()})
-
-    def evaluate(self, value):
-        """Entries evaluated at an exact scalar; returns {(r, c): Fraction}."""
-        return {rc: v.evaluate(value) for rc, v in self._e.items()}
-
     def __eq__(self, other):
         if not isinstance(other, QMatrix):
             return NotImplemented
@@ -196,19 +185,6 @@ class QMatrix:
 
     def __repr__(self):
         return f"QMatrix({self.nrows}x{self.ncols}, {len(self._e)} entries)"
-
-
-def dump_matrix(M, row_basis, col_basis):
-    """Deterministic text dump: basis legends plus 'entry row col poly' lines."""
-    lines = [f"rows {M.nrows}"]
-    for i, e in enumerate(row_basis.elements):
-        lines.append(f"row {i} {fock_elem_str(e)}")
-    lines.append(f"cols {M.ncols}")
-    for i, e in enumerate(col_basis.elements):
-        lines.append(f"col {i} {fock_elem_str(e)}")
-    for (r, c) in sorted(M.entries()):
-        lines.append(f"entry {r} {c} {M.entry(r, c)}")
-    return "\n".join(lines)
 
 
 # ------------------------------------------------------- single factor moves
@@ -471,43 +447,42 @@ def _local_rung_cols(ki, kj, sign, a, N):
     return cols
 
 
+def _terms_matrix(N, base, top, terms):
+    """Matrix of sum(coeff * rungs) over [(coeff, rungs)], all from base to top.
+
+    Each basis vector of the base slice is pushed through every rung list;
+    the images fill the columns.
+    """
+    src = FockBasis(N, base)
+    dst = FockBasis(N, top)
+    entries = {}
+    for ci, elem in enumerate(src.elements):
+        for coeff, rungs in terms:
+            for new, v in _apply_rungs_to_vector(N, base, rungs, {elem: coeff}).items():
+                key = (dst.index(new), ci)
+                entries[key] = entries[key] + v if key in entries else v
+    return QMatrix(dst.dim, src.dim, entries)
+
+
 def rung_matrix(rung, k, N):
     """Matrix of one rung on the full slice basis at weight k."""
     k = GlWeight(k)
     k2 = apply_rung(k, rung, N)
     if k2 is Zero:
         raise ValueError(f"rung {rung} does not act on {tuple(k)}")
-    src = FockBasis(N, k)
-    dst = FockBasis(N, k2)
-    i = rung.pos - 1
-    cols = _local_rung_cols(k[i], k[i + 1], rung.sign, rung.thickness, N)
-    entries = {}
-    for ci, elem in enumerate(src.elements):
-        for (S2, T2), v in cols[(elem[i], elem[i + 1])]:
-            new = elem[:i] + (S2, T2) + elem[i + 2:]
-            key = (dst.index(new), ci)
-            entries[key] = entries[key] + v if key in entries else v
-    return QMatrix(dst.dim, src.dim, entries)
+    return _terms_matrix(N, k, k2, [(LaurentPoly.one(), (rung,))])
 
 
 def ladder_matrix(u):
     """Evaluate a ladder to a matrix, bottom rung first."""
     if u is Zero:
         raise ValueError("Zero has no preferred matrix; handle it upstream")
-    out = QMatrix.identity(FockBasis(u.N, u.base).dim)
-    k = u.base
-    for r in u.rungs:
-        out = rung_matrix(r, k, u.N) * out
-        k = apply_rung(k, r, u.N)
-    return out
+    return _terms_matrix(u.N, u.base, u.top, [(LaurentPoly.one(), u.rungs)])
 
 
 def lincomb_matrix(w):
     """Matrix of a WebLinComb."""
-    out = QMatrix.zero(FockBasis(w.N, w.top).dim, FockBasis(w.N, w.base).dim)
-    for lad, c in w.items():
-        out = out + ladder_matrix(lad).scaled(c)
-    return out
+    return _terms_matrix(w.N, w.base, w.top, [(c, lad.rungs) for lad, c in w.items()])
 
 
 def _apply_rungs_to_vector(N, base, rungs, vec):

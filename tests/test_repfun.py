@@ -20,12 +20,12 @@ from qwebs.webs import (
 from qwebs.repfun import (
     FockBasis,
     QMatrix,
-    dump_matrix,
     ev_closed,
     ladder_matrix,
     lincomb_matrix,
     merge_matrix,
     qg_action,
+    rung_matrix,
     split_matrix,
     web_form,
     wedge_normal_form,
@@ -200,9 +200,12 @@ def test_rung_matrix_vs_ladder_matrix():
             if not opts:
                 break
             lad = lad.with_rung(rng.choice(opts))
-        M = ladder_matrix(lad)
-        assert M.nrows == FockBasis(N, lad.top).dim
-        assert M.ncols == FockBasis(N, lad.base).dim
+        want = QMatrix.identity(FockBasis(N, lad.base).dim)
+        k = lad.base
+        for r in lad.rungs:
+            want = rung_matrix(r, k, N).compose(want)
+            k = apply_rung(k, r, N)
+        assert ladder_matrix(lad) == want
 
 
 def test_closed_circle_and_theta():
@@ -305,16 +308,10 @@ def test_lincomb_matrix():
     f = Ladder(2, 2, GlWeight((2, 0)), (Rung(1, -1, 1),))
     w = WebLinComb.of(f, Q(1)) + WebLinComb.of(f, ONE)
     assert lincomb_matrix(w) == ladder_matrix(f).scaled(Q(1) + ONE)
-
-
-# ---------------------------------------------------------------------- dump
-
-
-def test_dump_matrix_deterministic():
-    m = merge_matrix(1, 1, 2)
-    text = dump_matrix(m, FockBasis(2, (2,)), FockBasis(2, (1, 1)))
-    lines = text.splitlines()
-    assert lines[0] == "rows 1"
-    assert lines[1] == "row 0 {1,2}"
-    assert "entry 0 1 1" in lines
-    assert text == dump_matrix(m, FockBasis(2, (2,)), FockBasis(2, (1, 1)))
+    # F1 then E1 on (2,0) at N=3 is [2] times the identity
+    fe = Ladder(3, 2, GlWeight((2, 0)), (Rung(1, -1, 1), Rung(1, 1, 1)))
+    empty = Ladder(3, 2, GlWeight((2, 0)))
+    cancel = WebLinComb.of(fe) + WebLinComb.of(empty, -qbinom(2, 1))
+    M = lincomb_matrix(cancel)
+    assert (M.nrows, M.ncols) == (3, 3)
+    assert M.is_zero()
