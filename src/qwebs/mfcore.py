@@ -97,11 +97,6 @@ class GradedRing:
         return f"GradedRing({body})"
 
 
-def _transfer(poly, target_gr):
-    """Positional transfer of a polynomial onto a same-shape renamed ring."""
-    return MultiPoly(target_gr.ring, poly.terms())
-
-
 # ------------------------------------------------------------------ the MF
 
 
@@ -219,50 +214,50 @@ def rename_alphabets(mf, mapping):
     if len(set(new_names)) != len(new_names):
         raise ValueError("alphabet rename collides")
     gr = mf.gr.renamed(mapping)
-    rows = tuple((_transfer(p, gr), _transfer(q, gr), dp, dq) for p, q, dp, dq in mf.rows)
+    moved = {f"{n}.{j}": gr.var(mapping[n], j)
+             for n, idx in mf.gr.alphabets if n in mapping for j in idx}
+    rows = tuple((p.substitute(moved, gr.ring), q.substitute(moved, gr.ring), dp, dq)
+                 for p, q, dp, dq in mf.rows)
     boundary = {mapping.get(n, n): s for n, s in mf.boundary.items()}
     return KoszulMF(gr, rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
                     basemodule=mf.basemodule, boundary=boundary)
 
 
 def tensor(a, b):
-    """Tensor product over the amalgamated ring.
-
-    Alphabets with the same name glue; a name carried with different index
-    sets is a collision and raises. Boundary signs add, so a face shared
-    with opposite orientations disappears from the declared boundary.
-    """
-    if a.N != b.N:
-        raise ValueError("cannot tensor factorizations with different N")
-    alphs = []
-    seen = {}
-    for name, idx in a.gr.alphabets + b.gr.alphabets:
-        if name in seen:
-            if seen[name] != idx:
-                raise ValueError(f"alphabet size collision on {name}")
-            continue
-        seen[name] = idx
-        alphs.append((name, idx))
-    gr = GradedRing(alphs)
-    rows = []
-    for src in (a, b):
-        for p, q, dp, dq in src.rows:
-            rows.append((p.convert(gr.ring), q.convert(gr.ring), dp, dq))
-    boundary = {}
-    for src in (a, b):
-        for name, sign in src.boundary.items():
-            boundary[name] = boundary.get(name, 0) + sign
-    base = tuple(da + db for da in a.basemodule for db in b.basemodule)
-    return KoszulMF(gr, rows, a.N, qshift=a.qshift + b.qshift,
-                    hshift=(a.hshift + b.hshift) % 2, basemodule=base,
-                    boundary=boundary)
+    """Tensor product of two factorizations; see tensor_all."""
+    return tensor_all((a, b), a.N)
 
 
 def tensor_all(factors, N):
-    out = KoszulMF(GradedRing([]), [], N)
+    """Tensor product of factorizations over the amalgamated ring, in one pass.
+
+    Alphabets with the same name glue, in first-seen order; a name carried
+    with different index sets is a collision and raises, as does a factor
+    whose N differs. The amalgamated ring is built once and each factor's
+    rows are converted into it once. Boundary signs add, so a face shared
+    with opposite orientations disappears from the declared boundary.
+    """
+    alphs = {}
     for f in factors:
-        out = tensor(out, f)
-    return out
+        if f.N != N:
+            raise ValueError("cannot tensor factorizations with different N")
+        for name, idx in f.gr.alphabets:
+            if alphs.setdefault(name, idx) != idx:
+                raise ValueError(f"alphabet size collision on {name}")
+    gr = GradedRing(alphs.items())
+    rows = []
+    boundary = {}
+    qshift = hshift = 0
+    base = (0,)
+    for f in factors:
+        rows.extend((p.convert(gr.ring), q.convert(gr.ring), dp, dq) for p, q, dp, dq in f.rows)
+        for name, sign in f.boundary.items():
+            boundary[name] = boundary.get(name, 0) + sign
+        qshift += f.qshift
+        hshift += f.hshift
+        base = tuple(d + e for d in base for e in f.basemodule)
+    return KoszulMF(gr, rows, N, qshift=qshift, hshift=hshift, basemodule=base,
+                    boundary=boundary)
 
 
 # ------------------------------------------------- the one-column pieces
@@ -740,100 +735,6 @@ def ext_qdim(a, b):
     if hsh:
         h0, h1 = h1, h0
     return (h0, h1)
-
-
-# ------------------------------------------------------------ totalizing
-
-
-def totalization(mf):
-    """Explicit two-periodic matrices of a Koszul factorization.
-
-    Basis elements are (generator, subset of rows); occupying row i costs
-    h-degree 1 and q-degree (degq_i - degp_i)/2. Returns (deg0, deg1, d0,
-    d1) with d0 mapping parity 0 to parity 1; d1 d0 = d0 d1 = W * id.
-    """
-    n = len(mf.rows)
-    shifts = [(dq - dp) // 2 for _, _, dp, dq in mf.rows]
-    basis = [[], []]
-    place = {}
-    for gi, gdeg in enumerate(mf.basemodule):
-        for mask in range(1 << n):
-            par = (bin(mask).count("1") + mf.hshift) % 2
-            deg = gdeg + mf.qshift + sum(s for i, s in enumerate(shifts) if mask >> i & 1)
-            place[(gi, mask)] = (par, len(basis[par]))
-            basis[par].append(deg)
-    mats = [
-        [[mf.gr.ring.zero() for _ in basis[0]] for _ in basis[1]],
-        [[mf.gr.ring.zero() for _ in basis[1]] for _ in basis[0]],
-    ]
-    for (gi, mask), (par, col) in place.items():
-        for i, (p, q, _, _) in enumerate(mf.rows):
-            occupied = mask >> i & 1
-            entry = q if occupied else p
-            tgt_mask = mask ^ (1 << i)
-            sign = -1 if bin(mask & ((1 << i) - 1)).count("1") % 2 else 1
-            tpar, trow = place[(gi, tgt_mask)]
-            m = mats[0] if par == 0 else mats[1]
-            m[trow][col] = m[trow][col] + sign * entry
-    return basis[0], basis[1], mats[0], mats[1]
-
-
-class TwoPeriodicComplex:
-    """Two free graded modules with differentials composing to zero.
-
-    deg0 and deg1 list generator q-degrees; d0 maps side 0 to side 1 and d1
-    comes back. Entries are polynomials with exact rational coefficients,
-    homogeneous so that both maps have degree N + 1, and both composites
-    must vanish, which is the potential-zero case of the factorization
-    axiom.
-    """
-
-    __slots__ = ("ring", "deg0", "deg1", "d0", "d1", "N")
-
-    def __init__(self, ring, deg0, deg1, d0, d1, N):
-        self.ring = ring
-        self.deg0 = tuple(int(d) for d in deg0)
-        self.deg1 = tuple(int(d) for d in deg1)
-        self.d0 = tuple(tuple(row) for row in d0)
-        self.d1 = tuple(tuple(row) for row in d1)
-        self.N = int(N)
-        if len(self.d0) != len(self.deg1) or any(len(r) != len(self.deg0) for r in self.d0):
-            raise ValueError("d0 shape does not match gradings")
-        if len(self.d1) != len(self.deg0) or any(len(r) != len(self.deg1) for r in self.d1):
-            raise ValueError("d1 shape does not match gradings")
-        delta = self.N + 1
-        for mat, src, tgt in ((self.d0, self.deg0, self.deg1),
-                              (self.d1, self.deg1, self.deg0)):
-            for r, row in enumerate(mat):
-                for c, entry in enumerate(row):
-                    want = delta + src[c] - tgt[r]
-                    actual = entry.homogeneous_degree()
-                    if actual is not None and actual != want:
-                        raise ValueError(
-                            f"entry at ({r},{c}) has degree {actual}, wants {want}")
-        for first, second, n_out in ((self.d0, self.d1, len(self.deg0)),
-                                     (self.d1, self.d0, len(self.deg1))):
-            for r in range(n_out):
-                for c in range(n_out):
-                    acc = ring.zero()
-                    for t in range(len(first)):
-                        acc = acc + second[r][t] * first[t][c]
-                    if not acc.is_zero():
-                        raise ValueError("differentials do not square to zero")
-
-    @classmethod
-    def from_mf(cls, mf):
-        deg0, deg1, d0, d1 = totalization(mf)
-        return cls(mf.gr.ring, deg0, deg1, d0, d1, mf.N)
-
-    def euler_characteristic(self):
-        """Graded Euler characteristic of the generators, side 0 minus side 1."""
-        out = LaurentPoly.zero()
-        for d in self.deg0:
-            out = out + LaurentPoly.q_power(d)
-        for d in self.deg1:
-            out = out - LaurentPoly.q_power(d)
-        return out
 
 
 # ------------------------------------------------------------------ dump

@@ -4,8 +4,8 @@ Two polynomial flavors live here. LaurentPoly is Z[q, q^-1] with the balanced
 quantum combinatorics on top (quantum integers, quantum binomials, the bar
 involution q -> q^-1). MultiPoly is a multivariate polynomial over an ordered
 ring of named generators carrying even positive degrees; it backs the
-symmetric-function side (power sums in elementary generators, signed series
-components) that the matrix factorization layer consumes.
+symmetric-function side (power sums in elementary generators) that the
+matrix factorization layer consumes.
 
 All arithmetic is exact: integers, Fractions, and exponent dictionaries.
 Division only ever happens in the exact sense and raises NonExactDivision
@@ -72,18 +72,10 @@ class LaurentPoly:
     def is_zero(self):
         return not self._c
 
-    def is_one(self):
-        return self._c == {0: 1}
-
     def min_exp(self):
         if not self._c:
             raise ValueError("zero polynomial has no exponents")
         return min(self._c)
-
-    def max_exp(self):
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._c)
 
     def has_nonneg_coeffs(self):
         return all(v > 0 for v in self._c.values())
@@ -190,41 +182,6 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if v > 0 else f"- {body}")
         return " ".join(parts)
-
-    @staticmethod
-    def parse(text):
-        """Inverse of str() for the canonical form, e.g. 'q^4 + 2 + q^-4'."""
-        s = text.strip()
-        if s == "0":
-            return LaurentPoly.zero()
-        s = s.replace("-", " - ").replace("+", " + ")
-        # undo the damage done to exponent signs like q^-4
-        s = s.replace("^ - ", "^-").replace("^ + ", "^+")
-        tokens = s.split()
-        c = {}
-        sign = 1
-        for tok in tokens:
-            if tok == "+":
-                sign = 1
-                continue
-            if tok == "-":
-                sign = -1
-                continue
-            if "q" in tok:
-                head, _, tail = tok.partition("q")
-                coeff = int(head) if head else 1
-                if tail.startswith("^"):
-                    e = int(tail[1:])
-                elif tail == "":
-                    e = 1
-                else:
-                    raise ValueError(f"bad term {tok!r}")
-            else:
-                coeff = int(tok)
-                e = 0
-            c[e] = c.get(e, 0) + sign * coeff
-            sign = 1
-        return LaurentPoly(c)
 
     def exact_divide(self, den):
         """Exact quotient in Z[q, q^-1]; raises NonExactDivision otherwise."""
@@ -422,18 +379,6 @@ class MultiPoly:
     def is_constant(self):
         return all(not any(e) for e in self._t)
 
-    def constant_value(self):
-        if self.is_zero():
-            return 0
-        [(e, v)] = self._t.items()
-        if any(e):
-            raise ValueError("not a constant")
-        return v
-
-    def is_homogeneous(self):
-        degs = {self.ring.monomial_degree(e) for e in self._t}
-        return len(degs) <= 1
-
     def homogeneous_degree(self):
         """Degree of a homogeneous polynomial; None for 0, ValueError if mixed."""
         degs = {self.ring.monomial_degree(e) for e in self._t}
@@ -552,75 +497,65 @@ class MultiPoly:
             total += term
         return _norm_coeff(total)
 
-    def substitute(self, mapping, ring=None):
-        """Replace generators by polynomials in a target ring.
+    def substitute(self, mapping, ring):
+        """Replace generators by polynomials over `ring`.
 
-        mapping sends names of this ring to MultiPolys over the target ring.
-        Names absent from the mapping must exist in the target ring with the
-        same degree and pass through unchanged. With ring=None the target is
-        this ring (self-substitution).
+        mapping sends names of this ring to MultiPolys over `ring`. Every
+        generator that is used and not mapped must exist in `ring` with the
+        same degree; it moves to its place there by name, as in convert.
         """
-        target = ring if ring is not None else self.ring
-        if mapping:
-            some = next(iter(mapping.values()))
-            if isinstance(some, MultiPoly) and ring is None:
-                target = some.ring
-        cache = {}
-        names = self.ring.names()
-        out = target.zero()
-        for exps, v in self._t.items():
-            term = target.const(v)
-            for name, e in zip(names, exps):
-                if not e:
-                    continue
-                if name not in cache:
-                    if name in mapping:
-                        val = mapping[name]
-                        if isinstance(val, (int, Fraction)):
-                            val = target.const(val)
-                        if val.ring != target:
-                            raise ValueError("substitution value in wrong ring")
-                    else:
-                        if name not in target:
-                            raise ValueError(f"generator {name} missing from target ring")
-                        if target.degree_of(name) != self.ring.degree_of(name):
-                            raise ValueError(f"generator {name} changes degree")
-                        val = target.var(name)
-                    cache[name] = val
-                term = term * cache[name] ** e
-            out = out + term
-        return out
+        for val in mapping.values():
+            if not isinstance(val, MultiPoly) or val.ring != ring:
+                raise ValueError("substitution value in wrong ring")
+        return self._reindex(mapping, ring)
 
     def convert(self, ring):
         """Reinterpret over another ring containing the same-named generators.
 
-        Pure index remapping; only generators actually used need to exist in
-        the target (with the same degree), matching substitute({}, ring).
+        The empty-mapping case of substitute: only generators actually used
+        need to exist in the target, with the same degree.
         """
-        if ring == self.ring:
+        return self._reindex({}, ring)
+
+    def _reindex(self, mapping, ring):
+        """The path substitute and convert share: mapped generators are
+        replaced, the other used ones move to their index in ring by name."""
+        if not mapping and ring == self.ring:
             return self
-        width = len(ring.gens)
         gens = self.ring.gens
-        remap = {}
-        out = {}
+        used = set()
+        for exps in self._t:
+            used.update(i for i, e in enumerate(exps) if e)
+        moved, subst = {}, {}
+        for i in sorted(used):
+            name, deg = gens[i]
+            if name in mapping:
+                subst[i] = mapping[name]
+            elif name not in ring:
+                raise ValueError(f"generator {name} missing from target ring")
+            elif ring.degree_of(name) != deg:
+                raise ValueError(f"generator {name} changes degree")
+            else:
+                moved[i] = ring.index(name)
+        # terms grouped by their exponents on the substituted generators;
+        # within a group the moved exponents tell the terms apart
+        width = len(ring.gens)
+        groups = {}
         for exps, v in self._t.items():
             ne = [0] * width
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                j = remap.get(i)
-                if j is None:
-                    name, deg = gens[i]
-                    if name not in ring:
-                        raise ValueError(f"generator {name} missing from target ring")
-                    if ring.degree_of(name) != deg:
-                        raise ValueError(f"generator {name} changes degree")
-                    j = ring.index(name)
-                    remap[i] = j
-                ne[j] = e
-            key = tuple(ne)
-            out[key] = out.get(key, 0) + v
-        return MultiPoly._raw(ring, out)
+            for i, j in moved.items():
+                ne[j] = exps[i]
+            groups.setdefault(tuple(exps[i] for i in subst), {})[tuple(ne)] = v
+        if not subst:
+            return MultiPoly._raw(ring, groups.get((), {}))
+        out = ring.zero()
+        for key, terms in groups.items():
+            part = MultiPoly._raw(ring, terms)
+            for val, e in zip(subst.values(), key):
+                if e:
+                    part = part * val ** e
+            out = out + part
+        return out
 
     def uses(self, name):
         i = self.ring.index(name)
@@ -666,9 +601,9 @@ def exact_divide(num, den):
     return num.exact_divide(den)
 
 
-def elementary_ring(k, prefix="e"):
+def elementary_ring(k):
     """Ring of elementary generators e1..ek with deg(ei) = 2i."""
-    return PolyRing([(f"{prefix}{i}", 2 * i) for i in range(1, k + 1)])
+    return PolyRing([(f"e{i}", 2 * i) for i in range(1, k + 1)])
 
 
 def power_sum_in_e(p, k):
@@ -691,58 +626,3 @@ def power_sum_in_e(p, k):
             total = total + (n if n % 2 == 1 else -n) * e[n]
         ps.append(total)
     return ps[p]
-
-
-def x_series_ring(sizes, prefix="x"):
-    """Ring for a list of alphabets: generators '<prefix><a>.<b>' with deg 2b."""
-    gens = []
-    for a, size in enumerate(sizes, start=1):
-        for b in range(1, size + 1):
-            gens.append((f"{prefix}{a}.{b}", 2 * b))
-    return PolyRing(gens)
-
-
-def x_series_component(signs_and_sizes, j):
-    """Degree-2j component of prod_a (sum_b e_{a,b})^(s_a) over signed alphabets.
-
-    signs_and_sizes is a list of (sign, size) with sign in {+1, -1}. Each
-    alphabet a contributes generators x<a>.1 .. x<a>.<size>. A positive
-    alphabet contributes its elementary generators as series components; a
-    negative one contributes the inverse series, whose degree-2j piece is
-    (-1)^j h_j rewritten in the elementaries.
-    """
-    if j < 0:
-        raise ValueError("component index must be >= 0")
-    sizes = [size for _, size in signs_and_sizes]
-    ring = x_series_ring(sizes)
-    # per-alphabet component lists up to degree j
-    comp = []
-    for a, (sign, size) in enumerate(signs_and_sizes, start=1):
-        evars = [None] + [ring.var(f"x{a}.{b}") if b <= size else ring.zero()
-                          for b in range(1, j + 1)]
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if sign == 1:
-            cs = [ring.one()] + [evars[b] for b in range(1, j + 1)]
-        else:
-            # inverse series: c_0 = 1, c_j = -sum_{i=1..j} e_i c_{j-i}
-            cs = [ring.one()]
-            for b in range(1, j + 1):
-                total = ring.zero()
-                for i in range(1, b + 1):
-                    total = total + evars[i] * cs[b - i]
-                cs.append(-total)
-        comp.append(cs)
-    # convolve the alphabets
-    acc = [ring.one()] + [ring.zero()] * j
-    for cs in comp:
-        nxt = [ring.zero()] * (j + 1)
-        for d1 in range(j + 1):
-            if acc[d1].is_zero():
-                continue
-            for d2 in range(j + 1 - d1):
-                if cs[d2].is_zero():
-                    continue
-                nxt[d1 + d2] = nxt[d1 + d2] + acc[d1] * cs[d2]
-        acc = nxt
-    return acc[j]

@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from qwebs._linalg import fraction_rank
 from qwebs.qpoly import (
     LaurentPoly,
     elementary_ring,
@@ -86,21 +87,6 @@ def _grow_ladders(N, m, base, max_rungs, max_thick):
         out.extend(nxt)
         frontier = nxt
     return out
-
-
-def _rank(rows):
-    """Rank of a matrix of Fractions, by elimination against found pivots."""
-    pivots = []
-    for row in rows:
-        row = list(row)
-        for pcol, prow in pivots:
-            if row[pcol]:
-                f = row[pcol] / prow[pcol]
-                row = [x - f * y for x, y in zip(row, prow)]
-        pcol = next((c for c, v in enumerate(row) if v), None)
-        if pcol is not None:
-            pivots.append((pcol, row))
-    return len(pivots)
 
 
 def _weyl_dim(hw, m):
@@ -387,7 +373,7 @@ def test_criterion_07_dimension_identity():
                     continue
                 gram = [[web_form(u, v).evaluate(Fraction(2)) for v in gens]
                         for u in gens]
-                total += _rank(gram)
+                total += fraction_rank(gram)
             oracle = _weyl_dim([N] * ell, m)
             if total != oracle or oracle != frozen:
                 bad.append((N, ell, m, total, oracle, frozen))

@@ -172,6 +172,73 @@ def test_duplicate_parameter(capsys):
     assert "duplicate parameter" in capsys.readouterr().err
 
 
+# compile-mf stdout pinned byte for byte, so a change to the compile path
+# that reorders rows, generators or terms shows up here
+FRUNG_MF = """\
+N: 2
+ring:
+  s2.1: 2 [s2]
+  s1.1: 2 [s1]
+  bot.1.1: 2 [bot.1]
+  bot.1.2: 4 [bot.1]
+  s3.1: 2 [s3]
+  top.1.1: 2 [top.1]
+  top.2.1: 2 [top.2]
+rows:
+  s2.1^2 - s2.1*s1.1 + s2.1*bot.1.1 + s1.1^2 + s1.1*bot.1.1 + bot.1.1^2 ; s2.1 + s1.1 - bot.1.1
+  -3*bot.1.1 ; s2.1*s1.1 - bot.1.2
+  s1.1^2 + s1.1*s3.1 + s3.1^2 ; -s1.1 + s3.1
+  s2.1^2 + s2.1*top.1.1 + top.1.1^2 ; -s2.1 + top.1.1
+  s3.1^2 + s3.1*top.2.1 + top.2.1^2 ; -s3.1 + top.2.1
+qshift: 0
+hshift: 0
+basemodule: [0]
+boundary: bot.1:-1 top.1:+1 top.2:+1
+"""
+
+N3_TWO_RUNGS = "N=3 m=3 base=[3,0,0] rungs=[F1^2, F2^1]"
+N3_TWO_RUNGS_MF = """\
+N: 3
+ring:
+  s2.1: 2 [s2]
+  s1.1: 2 [s1]
+  s1.2: 4 [s1]
+  bot.1.1: 2 [bot.1]
+  bot.1.2: 4 [bot.1]
+  bot.1.3: 6 [bot.1]
+  s3.1: 2 [s3]
+  s3.2: 4 [s3]
+  s5.1: 2 [s5]
+  s4.1: 2 [s4]
+  s6.1: 2 [s6]
+  top.1.1: 2 [top.1]
+  top.2.1: 2 [top.2]
+  top.3.1: 2 [top.3]
+rows:
+  s2.1^3 - s2.1^2*s1.1 + s2.1^2*bot.1.1 - s2.1*s1.1^2 - 2*s2.1*s1.1*bot.1.1 + s2.1*bot.1.1^2 + s1.1^3 + s1.1^2*bot.1.1 - 4*s1.1*s1.2 + s1.1*bot.1.1^2 - 4*s1.2*bot.1.1 + bot.1.1^3 ; s2.1 + s1.1 - bot.1.1
+  2*s2.1*s1.1 + 2*s1.2 - 4*bot.1.1^2 + 2*bot.1.2 ; s2.1*s1.1 + s1.2 - bot.1.2
+  4*bot.1.1 ; s2.1*s1.2 - bot.1.3
+  s1.1^3 + s1.1^2*s3.1 + s1.1*s3.1^2 - 4*s1.1*s3.2 + s3.1^3 - 4*s3.1*s3.2 ; -s1.1 + s3.1
+  -4*s1.1^2 + 2*s1.2 + 2*s3.2 ; -s1.2 + s3.2
+  s3.1^3 + s3.1^2*s5.1 + s3.1^2*s4.1 + s3.1*s5.1^2 - 2*s3.1*s5.1*s4.1 + s3.1*s4.1^2 + s5.1^3 - s5.1^2*s4.1 - s5.1*s4.1^2 + s4.1^3 ; -s3.1 + s5.1 + s4.1
+  -4*s3.1^2 + 2*s3.2 + 2*s5.1*s4.1 ; -s3.2 + s5.1*s4.1
+  s4.1^3 + s4.1^2*s6.1 + s4.1*s6.1^2 + s6.1^3 ; -s4.1 + s6.1
+  s2.1^3 + s2.1^2*top.1.1 + s2.1*top.1.1^2 + top.1.1^3 ; -s2.1 + top.1.1
+  s5.1^3 + s5.1^2*top.2.1 + s5.1*top.2.1^2 + top.2.1^3 ; -s5.1 + top.2.1
+  s6.1^3 + s6.1^2*top.3.1 + s6.1*top.3.1^2 + top.3.1^3 ; -s6.1 + top.3.1
+qshift: 0
+hshift: 0
+basemodule: [0]
+boundary: bot.1:-1 top.1:+1 top.2:+1 top.3:+1
+"""
+
+
+@pytest.mark.parametrize("web,want", [(FRUNG, FRUNG_MF), (N3_TWO_RUNGS, N3_TWO_RUNGS_MF)])
+def test_compile_mf_golden(capsys, web, want):
+    assert run(["compile-mf", web]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_output_is_stable(capsys):
     run(["compile-mf", DIGON])
     first = capsys.readouterr().out

@@ -8,7 +8,6 @@ from qwebs.mfcore import (
     GradedRing,
     IrreducibleToFinite,
     KoszulMF,
-    TwoPeriodicComplex,
     check_potential,
     compile_web,
     dual,
@@ -23,7 +22,6 @@ from qwebs.mfcore import (
     shift_h,
     shift_q,
     tensor,
-    totalization,
 )
 
 
@@ -123,6 +121,10 @@ def test_tensor_glues_and_collides():
     assert check_potential(t)
     with pytest.raises(ValueError):
         tensor(mf_edge(1, 2, top="x", bot="y"), mf_edge(2, 2, top="x", bot="z"))
+    with pytest.raises(ValueError):
+        tensor(mf_edge(1, 2, top="x", bot="y"), mf_edge(1, 3, top="z", bot="x"))
+    e = mf_edge(1, 2)
+    assert tensor(dual(e), e).potential().is_zero()
 
 
 def test_shifts_and_dual():
@@ -170,29 +172,6 @@ def test_compile_two_rungs_potential():
     assert check_potential(mf)
     assert mf.boundary == {"bot.1": -1, "bot.2": -1, "bot.3": -1,
                            "top.1": 1, "top.2": 1}
-
-
-def test_totalization_squares_to_potential():
-    for mf in (mf_edge(1, 2), mf_edge(2, 2), mf_merge(1, 1, 2)):
-        deg0, deg1, d0, d1 = totalization(mf)
-        W = mf.potential()
-        n0, n1 = len(deg0), len(deg1)
-        for r in range(n0):
-            for c in range(n0):
-                acc = mf.gr.ring.zero()
-                for t in range(n1):
-                    acc = acc + d1[r][t] * d0[t][c]
-                assert acc == (W if r == c else mf.gr.ring.zero())
-
-
-def test_two_periodic_from_glued():
-    e = mf_edge(1, 2)
-    glued = tensor(dual(e), e)
-    assert glued.potential().is_zero()
-    cx = TwoPeriodicComplex.from_mf(glued)
-    assert len(cx.deg0) == len(cx.deg1) == 2
-    with pytest.raises(ValueError):
-        TwoPeriodicComplex.from_mf(e)  # nonzero potential cannot square to zero
 
 
 def test_exclusion_keeps_boundary():
