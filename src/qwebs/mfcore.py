@@ -529,7 +529,6 @@ def _rref_once(cur, internals):
         return sum(exps[t] * degs[t] for t in iset)
 
     rows = [list(row) for row in cur.rows]
-    changed = False
     for side in (1, 0):
         groups = {}
         for idx, row in enumerate(rows):
@@ -552,7 +551,6 @@ def _rref_once(cur, internals):
                 if c != 1:
                     rows[piv][side] = rows[piv][side] * (Fraction(1) / c)
                     rows[piv][1 - side] = rows[piv][1 - side] * c
-                    changed = True
                 for idx in idxs:
                     if idx == piv:
                         continue
@@ -561,10 +559,10 @@ def _rref_once(cur, internals):
                         continue
                     rows[idx][side] = rows[idx][side] - rows[piv][side] * lam
                     rows[piv][1 - side] = rows[piv][1 - side] + rows[idx][1 - side] * lam
-                    changed = True
-    if not changed:
+    rows = tuple(tuple(row) for row in rows)
+    if rows == cur.rows:
         return None
-    out = KoszulMF(cur.gr, [tuple(row) for row in rows], cur.N,
+    out = KoszulMF(cur.gr, rows, cur.N,
                    qshift=cur.qshift, hshift=cur.hshift,
                    basemodule=cur.basemodule, boundary=cur.boundary)
     if out.potential() != cur.potential():

@@ -16,10 +16,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .qpoly import LaurentPoly, qbinom
+from .qpoly import LaurentPoly
 from .webs import (
     GlWeight,
-    Ladder,
     WebLinComb,
     Zero,
     apply_rung,
@@ -262,132 +261,20 @@ def merge_matrix(a, b, N):
     return QMatrix(dst.dim, src.dim, entries)
 
 
-def _laurent_nullvector(eqs, nunknowns):
-    """One-dimensional nullspace of a small system over Z[q, q^-1].
-
-    eqs is a list of coefficient lists. Fraction-free elimination; asserts
-    the nullity is exactly one and returns an unnormalized vector.
-    """
-    mat = [list(row) for row in eqs]
-    pivots = []  # (row, col)
-    used_rows = set()
-    for col in range(nunknowns):
-        sel = None
-        for r in range(len(mat)):
-            if r not in used_rows and not mat[r][col].is_zero():
-                sel = r
-                break
-        if sel is None:
-            continue
-        used_rows.add(sel)
-        pivots.append((sel, col))
-        piv = mat[sel]
-        pv = piv[col]
-        for r in range(len(mat)):
-            if r == sel or mat[r][col].is_zero():
-                continue
-            f = mat[r][col]
-            mat[r] = [pv * mat[r][c] - f * piv[c] for c in range(nunknowns)]
-    free = [c for c in range(nunknowns) if c not in {c for _, c in pivots}]
-    if len(free) != 1:
-        raise ArithmeticError(f"expected a unique intertwiner, nullity {len(free)}")
-    fc = free[0]
-    vec = [LaurentPoly.zero()] * nunknowns
-    prod_all = LaurentPoly.one()
-    for r, c in pivots:
-        prod_all = prod_all * mat[r][c]
-    vec[fc] = prod_all
-    for r, c in pivots:
-        others = LaurentPoly.one()
-        for r2, c2 in pivots:
-            if c2 != c:
-                others = others * mat[r2][c2]
-        vec[c] = -mat[r][fc] * others
-    # sanity: every equation vanishes on the vector
-    for row in eqs:
-        total = LaurentPoly.zero()
-        for c in range(nunknowns):
-            total = total + row[c] * vec[c]
-        if not total.is_zero():
-            raise ArithmeticError("nullspace vector fails an equation")
-    return vec
-
-
 @lru_cache(maxsize=None)
 def split_matrix(a, b, N):
-    """The reverse intertwiner Lambda^(a+b) -> Lambda^a (x) Lambda^b.
+    """The reverse intertwiner Lambda^(a+b) -> Lambda^a (x) Lambda^b: q^(ab) merge^T.
 
-    Normalized so that merging straight back multiplies by qbinom(a+b, a).
-    The image of the top wedge is solved from the highest-weight equations;
-    everything else follows by lowering, one index bump at a time.
+    Lambda^(a+b) occurs once in Lambda^a (x) Lambda^b, so the intertwiner is
+    unique up to scale. The sum over splittings of q^(-2 inv) is
+    q^(-ab) [a+b; a], so q^(ab) is the scale at which merging back gives
+    qbinom(a+b, a).
     """
     if a < 0 or b < 0 or a + b > N:
         raise ValueError(f"split({a}, {b}) does not fit in N={N}")
-    k = a + b
-    whole = FockBasis(N, (k,))
-    pairs = FockBasis(N, (a, b))
-    S0 = tuple(range(1, k + 1))
-    unknowns = [(A, tuple(sorted(set(S0) - set(A)))) for A in combinations(S0, a)]
-    uidx = {p: i for i, p in enumerate(unknowns)}
-
-    eqs_by_target = {}
-    for u, (A, B) in enumerate(unknowns):
-        for i in range(1, N):
-            movedA = _e_move(i, A)
-            if movedA is not None:
-                key = (i, (movedA, B))
-                row = eqs_by_target.setdefault(key, [LaurentPoly.zero()] * len(unknowns))
-                row[u] = row[u] + LaurentPoly.q_power(_kexp(i, B))
-            movedB = _e_move(i, B)
-            if movedB is not None:
-                key = (i, (A, movedB))
-                row = eqs_by_target.setdefault(key, [LaurentPoly.zero()] * len(unknowns))
-                row[u] = row[u] + LaurentPoly.one()
-    nullvec = _laurent_nullvector(list(eqs_by_target.values()), len(unknowns))
-
-    cols = {S0: {p: c for p, c in zip(unknowns, nullvec) if not c.is_zero()}}
-    for (S,) in whole.elements:
-        if S == S0 or S in cols:
-            continue
-        ii = None
-        for i in range(1, N):
-            if i + 1 in S and i not in S:
-                ii = i
-                break
-        prev = tuple(sorted(set(S) - {ii + 1} | {ii}))
-        pcol = cols[prev]
-        col = {}
-
-        def bump(pair, c):
-            col[pair] = col[pair] + c if pair in col else c
-
-        for (A, B), c in pcol.items():
-            movedA = _f_move(ii, A)
-            if movedA is not None:
-                bump((movedA, B), c)
-            movedB = _f_move(ii, B)
-            if movedB is not None:
-                bump((A, movedB), c * LaurentPoly.q_power(-_kexp(ii, A)))
-        cols[S] = {p: c for p, c in col.items() if not c.is_zero()}
-
-    # normalize: merging back the top wedge must give qbinom(k, a)
-    sigma = LaurentPoly.zero()
-    for (A, B), c in cols[S0].items():
-        nf = wedge_normal_form(A + B)
-        if nf is Zero:
-            continue
-        coeff, S = nf
-        if S == S0:
-            sigma = sigma + c * coeff
-    if sigma.is_zero():
-        raise ArithmeticError("split normalization degenerated")
-    target = qbinom(k, a)
-    entries = {}
-    for S, col in cols.items():
-        ci = whole.index((S,))
-        for pair, c in col.items():
-            entries[(pairs.index(pair), ci)] = (c * target).exact_divide(sigma)
-    return QMatrix(pairs.dim, whole.dim, entries)
+    m = merge_matrix(a, b, N)
+    scale = LaurentPoly.q_power(a * b)
+    return QMatrix(m.ncols, m.nrows, {(c, r): v * scale for (r, c), v in m.entries().items()})
 
 
 # -------------------------------------------------------------------- rungs

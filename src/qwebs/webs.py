@@ -15,7 +15,7 @@ an sl weight plus a total thickness into a gl weight when one exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class WeightMismatch(ValueError):

@@ -40,6 +40,7 @@ from qwebs.repfun import (
 )
 from qwebs.relations import reduce_to_highest, relation_instances, verify_relation
 from qwebs.mfcore import (
+    IrreducibleToFinite,
     check_potential,
     compile_web,
     exclude_variables,
@@ -468,3 +469,45 @@ def test_criterion_12_degenerate_isomorphisms():
         return bad
 
     _run(12, "degenerate merge and split", body)
+
+
+# Digon-shaped n3m2 pairs whose internal alphabet s4 survives contraction on
+# ext_qdim's contract-then-dualize route. Only these may raise
+# IrreducibleToFinite in criterion 13; a route that answers them needs no edit.
+DIGON_PAIRS = {
+    ("N=3 m=2 base=[3,0] rungs=[F1^2, E1^1]", "N=3 m=2 base=[3,0] rungs=[F1^1]"),
+    ("N=3 m=2 base=[3,0] rungs=[F1^2, E1^1]", "N=3 m=2 base=[3,0] rungs=[F1^2, E1^1]"),
+    ("N=3 m=2 base=[3,0] rungs=[F1^2, E1^1]", "N=3 m=2 base=[3,0] rungs=[F1^3, E1^2]"),
+    ("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]", "N=3 m=2 base=[3,0] rungs=[F1^2]"),
+    ("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]", "N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]"),
+    ("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]", "N=3 m=2 base=[3,0] rungs=[F1^3, E1^1]"),
+}
+
+
+def test_criterion_13_ext_matches_form_n3_and_m3():
+    def body():
+        bad = []
+        # (N, m, bases, max thickness, same-top pairs), all with <= 2 rungs
+        sweeps = ((3, 2, [(3, 0)], 3, 43), (2, 3, [(2, 0, 0), (2, 2, 0)], 2, 40))
+        for N, m, bases, thick, want in sweeps:
+            npairs = 0
+            for base in bases:
+                by_top = {}
+                for lad in _grow_ladders(N, m, GlWeight(base), 2, thick):
+                    by_top.setdefault(tuple(lad.top), []).append(lad)
+                for group in by_top.values():
+                    for u, v in product(group, repeat=2):
+                        npairs += 1
+                        try:
+                            h0, h1 = ext_qdim(compile_web(u), compile_web(v))
+                        except IrreducibleToFinite:
+                            if (str(u), str(v)) not in DIGON_PAIRS:
+                                bad.append(("irreducible", str(u), str(v)))
+                            continue
+                        if h0 + h1 != web_form(u, v):
+                            bad.append((str(u), str(v), str(h0), str(h1)))
+            if npairs != want:
+                bad.append(("pair count", N, m, npairs, want))
+        return bad
+
+    _run(13, "ext decategorifies to the form, N=3 and m=3", body, budget=60)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,19 @@ def test_ext_dim_irreducible_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "ext_qdim", boom)
     assert run(["ext-dim", FRUNG, FRUNG]) == 3
     assert "stuck" in capsys.readouterr().err
+
+
+def test_ext_dim_digon_pair_exits_3():
+    # exclude_variables must terminate here; a subprocess lets the timeout
+    # catch a loop
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "qwebs.cli", "ext-dim",
+         "N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]", "N=3 m=2 base=[3,0] rungs=[F1^2]"],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == 3, done.stderr
+    assert "internal alphabets survive contraction" in done.stderr
 
 
 def test_unknown_subcommand(capsys):

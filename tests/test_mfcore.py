@@ -1,12 +1,14 @@
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qwebs.qpoly import LaurentPoly, MultiPoly, qbinom
+from qwebs.qpoly import LaurentPoly
 from qwebs.webs import Ladder, Rung
 from qwebs.mfcore import (
     GradedRing,
-    IrreducibleToFinite,
     KoszulMF,
     check_potential,
     compile_web,
@@ -244,6 +246,31 @@ def test_ext_matches_form_on_a_rung():
 def test_ext_boundary_mismatch():
     with pytest.raises(ValueError):
         ext_qdim(mf_edge(1, 2), mf_edge(2, 2))
+
+
+# exclude_variables must terminate on this digon-shaped pair, where a row
+# sweep returns its input unchanged. The call runs in a subprocess so that a
+# loop fails on the timeout instead of stalling the suite.
+DIGON_HANG = """
+import sys
+from qwebs.mfcore import IrreducibleToFinite, compile_web, ext_qdim
+from qwebs.webs import Ladder, Rung
+u = Ladder(3, 2, (3, 0), [Rung(1, -1, 1), Rung(1, -1, 1)])
+v = Ladder(3, 2, (3, 0), [Rung(1, -1, 2)])
+try:
+    ext_qdim(compile_web(u), compile_web(v))
+except IrreducibleToFinite:
+    sys.exit(0)
+sys.exit("ext_qdim returned instead of raising IrreducibleToFinite")
+"""
+
+
+def test_exclusion_terminates_on_digon_pair():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", DIGON_HANG], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
 
 
 def test_composed_identity_edges_are_transparent():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qwebs.qpoly import (
     LaurentPoly,
-    MultiPoly,
     NonExactDivision,
     PolyRing,
     bar,

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qwebs.qpoly import LaurentPoly, qbinom, qint
-from qwebs.webs import Ladder, Rung, WebLinComb, Zero, make_ladder
+from qwebs.webs import Ladder, Rung, WebLinComb, Zero
 from qwebs.relations import (
     NegativeCoefficient,
     RelationInstance,

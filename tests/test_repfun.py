@@ -11,11 +11,8 @@ from qwebs.webs import (
     WebLinComb,
     Zero,
     apply_rung,
-    compose,
-    enumerate_weights,
     highest_weight_ladder,
     make_ladder,
-    reflect,
 )
 from qwebs.repfun import (
     FockBasis,
@@ -74,7 +71,7 @@ def test_merge_rejects_overflow():
 
 
 def test_digon_all_small():
-    for N in (2, 3, 4):
+    for N in range(2, 7):
         for a in range(N + 1):
             for b in range(N + 1 - a):
                 got = merge_matrix(a, b, N) * split_matrix(a, b, N)
@@ -83,7 +80,7 @@ def test_digon_all_small():
 
 
 def test_merge_split_intertwine():
-    for N in (2, 3, 4):
+    for N in range(2, 7):
         for a in range(N + 1):
             for b in range(N + 1 - a):
                 pairs = FockBasis(N, (a, b))
