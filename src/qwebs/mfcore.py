@@ -209,14 +209,18 @@ def dual(mf):
 
 
 def rename_alphabets(mf, mapping):
-    """Rename alphabets; variable indices, degrees and row order are kept."""
+    """Rename alphabets; variable indices, degrees and row order are kept.
+
+    Relabelling is exact: GradedRing.renamed keeps the order of the
+    alphabets and of their indices, so generator i of the renamed ring has
+    the degree of generator i of the old one and every row's exponent dict
+    means the same monomials there, with no substitution.
+    """
     new_names = [mapping.get(n, n) for n in mf.gr.names()]
     if len(set(new_names)) != len(new_names):
         raise ValueError("alphabet rename collides")
     gr = mf.gr.renamed(mapping)
-    moved = {f"{n}.{j}": gr.var(mapping[n], j)
-             for n, idx in mf.gr.alphabets if n in mapping for j in idx}
-    rows = tuple((p.substitute(moved, gr.ring), q.substitute(moved, gr.ring), dp, dq)
+    rows = tuple((MultiPoly._raw(gr.ring, p._t), MultiPoly._raw(gr.ring, q._t), dp, dq)
                  for p, q, dp, dq in mf.rows)
     boundary = {mapping.get(n, n): s for n, s in mf.boundary.items()}
     return KoszulMF(gr, rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
@@ -295,17 +299,6 @@ def _quotient_rows(gr, N, top_slots, bot_slots):
     return rows
 
 
-def mf_edge(k, N, top="top", bot="bot"):
-    """Identity strand of thickness k between alphabets bot and top."""
-    gr = GradedRing([(top, k), (bot, k)])
-    if k == 0:
-        return KoszulMF(gr, [], N)
-    tops = [gr.var(top, j) for j in range(1, k + 1)]
-    bots = [gr.var(bot, j) for j in range(1, k + 1)]
-    return KoszulMF(gr, _quotient_rows(gr, N, tops, bots), N,
-                    boundary={top: 1, bot: -1})
-
-
 def _convolved(gr, name1, k1, name2, k2, a):
     """Degree-2a component of the product alphabet e(name1) * e(name2)."""
     out = gr.ring.zero()
@@ -319,41 +312,63 @@ def _convolved(gr, name1, k1, name2, k2, a):
     return out
 
 
+@lru_cache(maxsize=None)
+def _piece(kind, k1, k2, N):
+    """The merge or split piece of thicknesses k1, k2 over the default names.
+
+    A piece depends only on (kind, k1, k2, N) up to the names of its
+    alphabets, so each is built once; callers get renamed copies. Top
+    alphabets are declared with sign +1, bottom ones with -1.
+    """
+    k = k1 + k2
+    if kind == "merge":
+        gr = GradedRing([("top", k), ("bot1", k1), ("bot2", k2)])
+        tops = [gr.var("top", j) for j in range(1, k + 1)]
+        bots = [_convolved(gr, "bot1", k1, "bot2", k2, a) for a in range(1, k + 1)]
+    else:
+        gr = GradedRing([("top1", k1), ("top2", k2), ("bot", k)])
+        tops = [_convolved(gr, "top1", k1, "top2", k2, a) for a in range(1, k + 1)]
+        bots = [gr.var("bot", j) for j in range(1, k + 1)]
+    boundary = {n: 1 if n.startswith("top") else -1 for n in gr.names()}
+    return KoszulMF(gr, _quotient_rows(gr, N, tops, bots), N,
+                    qshift=-k1 * k2 if kind == "merge" else 0, boundary=boundary)
+
+
+def _named(kind, k1, k2, N, names):
+    """The cached piece with its default alphabet names mapped by names.
+
+    Every given name is checked, also one whose strand has thickness zero
+    and so is pruned from the ring: a piece built under those names would
+    have refused a duplicate.
+    """
+    seen = set()
+    for name in names.values():
+        if name in seen:
+            raise ValueError(f"duplicate alphabet {name}")
+        seen.add(name)
+    return rename_alphabets(_piece(kind, k1, k2, N), names)
+
+
+def mf_edge(k, N, top="top", bot="bot"):
+    """Identity strand of thickness k between alphabets bot and top.
+
+    This is the merge of k with 0, the empty alphabet having been pruned.
+    """
+    return _named("merge", k, 0, N, {"top": top, "bot1": bot})
+
+
 def mf_merge(k1, k2, N, top="top", bot1="bot1", bot2="bot2"):
     """Join strands of thickness k1 and k2 into one of thickness k1 + k2.
 
     Carries the q-shift -k1*k2. With either input thickness zero this is
     row-identical to mf_edge, the empty alphabet having been pruned.
     """
-    k = k1 + k2
-    gr = GradedRing([(top, k), (bot1, k1), (bot2, k2)])
-    if k == 0:
-        return KoszulMF(gr, [], N)
-    tops = [gr.var(top, j) for j in range(1, k + 1)]
-    bots = [_convolved(gr, bot1, k1, bot2, k2, a) for a in range(1, k + 1)]
-    boundary = {top: 1}
-    if k1:
-        boundary[bot1] = -1
-    if k2:
-        boundary[bot2] = -1
-    return KoszulMF(gr, _quotient_rows(gr, N, tops, bots), N,
-                    qshift=-k1 * k2, boundary=boundary)
+    return _named("merge", k1, k2, N, {"top": top, "bot1": bot1, "bot2": bot2})
 
 
 def mf_split(k1, k2, N, top1="top1", top2="top2", bot="bot"):
     """Break a strand of thickness k1 + k2 into strands k1 and k2. No shift."""
-    k = k1 + k2
-    gr = GradedRing([(top1, k1), (top2, k2), (bot, k)])
-    if k == 0:
-        return KoszulMF(gr, [], N)
-    tops = [_convolved(gr, top1, k1, top2, k2, a) for a in range(1, k + 1)]
-    bots = [gr.var(bot, j) for j in range(1, k + 1)]
-    boundary = {bot: -1}
-    if k1:
-        boundary[top1] = 1
-    if k2:
-        boundary[top2] = 1
-    return KoszulMF(gr, _quotient_rows(gr, N, tops, bots), N, boundary=boundary)
+    return _named("split", k1, k2, N, {"top1": top1, "top2": top2, "bot": bot})
 
 
 # ------------------------------------------------------------- compiling

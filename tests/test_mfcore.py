@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from qwebs.webs import Ladder, Rung
 from qwebs.mfcore import (
     GradedRing,
     KoszulMF,
+    _piece,
     check_potential,
     compile_web,
     dual,
@@ -148,6 +150,92 @@ def test_rename_alphabets():
     assert r.gr.names() == ("t", "inner")
     assert r.boundary == {"t": 1, "inner": -1}
     assert check_potential(r)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mf_edge(2, 3, top="t", bot="t"),
+    lambda: mf_edge(0, 3, top="t", bot="t"),
+    lambda: mf_merge(1, 2, 3, top="t", bot1="b", bot2="t"),
+    lambda: mf_merge(0, 2, 3, top="t", bot1="t", bot2="b"),
+    lambda: mf_merge(0, 0, 3, top="b", bot1="t", bot2="t"),
+    lambda: mf_split(2, 1, 3, top1="t", top2="b", bot="t"),
+    lambda: mf_split(2, 0, 3, top1="t", top2="b", bot="b"),
+])
+def test_piece_duplicate_names_raise(build):
+    # a zero-thickness strand has no alphabet in the ring, but its name counts
+    with pytest.raises(ValueError, match="duplicate alphabet"):
+        build()
+
+
+def _rename_by_substitution(mf, mapping):
+    """Reference rename: substitute each moved variable by its new name."""
+    gr = mf.gr.renamed(mapping)
+    moved = {f"{n}.{j}": gr.var(mapping[n], j)
+             for n, idx in mf.gr.alphabets if n in mapping for j in idx}
+    rows = tuple((p.substitute(moved, gr.ring), q.substitute(moved, gr.ring), dp, dq)
+                 for p, q, dp, dq in mf.rows)
+    boundary = {mapping.get(n, n): s for n, s in mf.boundary.items()}
+    return KoszulMF(gr, rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
+                    basemodule=mf.basemodule, boundary=boundary)
+
+
+def _relabel_checked(mf, mapping):
+    out = rename_alphabets(mf, mapping)
+    want = _rename_by_substitution(mf, mapping)
+    assert out == want and dump_mf(out) == dump_mf(want)
+    return out
+
+
+def test_rename_matches_substitution_on_pieces():
+    merge_names = {"top": "m", "bot1": "bot2", "bot2": "x"}
+    split_names = {"top1": "bot", "top2": "top1", "bot": "y"}
+    for N in (2, 3):
+        for k1 in range(N + 1):
+            for k2 in range(N + 1 - k1):
+                merge = _piece.__wrapped__("merge", k1, k2, N)
+                split = _piece.__wrapped__("split", k1, k2, N)
+                assert mf_merge(k1, k2, N, **merge_names) == _relabel_checked(merge, merge_names)
+                assert mf_split(k1, k2, N, **split_names) == _relabel_checked(split, split_names)
+            edge = _piece.__wrapped__("merge", k1, 0, N)
+            assert mf_edge(k1, N, top="u", bot="v") == _relabel_checked(
+                edge, {"top": "u", "bot1": "v"})
+    # the renamed copies handed out above left the cached pieces as built
+    for N in (2, 3):
+        for kind in ("merge", "split"):
+            for k1 in range(N + 1):
+                for k2 in range(N + 1 - k1):
+                    assert _piece(kind, k1, k2, N) == _piece.__wrapped__(kind, k1, k2, N)
+
+
+def _small_ladders():
+    for N, base in ((2, (2, 1, 0)), (3, (2, 1, 3)), (3, (3, 0, 1))):
+        yield Ladder(N, 3, base, [])
+        for r1, r2 in product([None] + [Rung(p, s, a) for p in (1, 2) for s in (1, -1)
+                                        for a in (1, 2)], repeat=2):
+            try:
+                yield Ladder(N, 3, base, [r for r in (r1, r2) if r is not None])
+            except ValueError:
+                pass
+
+
+def test_rename_matches_substitution_on_compiled_ladders():
+    for lad in _small_ladders():
+        mf = compile_web(lad)
+        names = mf.gr.names()
+        _relabel_checked(mf, {n: f"R.{n}" for n in names if n not in mf.boundary})
+        _relabel_checked(mf, dict(zip(names, reversed(names))))
+
+
+def test_rename_matches_substitution_on_ext_glue():
+    # the rename ext_qdim applies to its contracted second argument
+    for lad in _small_ladders():
+        red = exclude_variables(compile_web(lad))
+        _relabel_checked(red, {n: f"R.{n}" for n in red.gr.names() if n not in red.boundary})
+    # an alphabet left with a sparse index set after exclusions
+    gr = GradedRing([("a", (2, 3)), ("b", 1)])
+    mf = KoszulMF(gr, [(gr.var("a", 3), gr.var("a", 2) + gr.var("b", 1) ** 2)], 4,
+                  boundary={"b": 1})
+    assert _relabel_checked(mf, {"a": "R.a"}).gr.indices("R.a") == (2, 3)
 
 
 def test_compile_identity_ladder_is_edge():
