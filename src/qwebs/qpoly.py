@@ -47,6 +47,13 @@ class LaurentPoly:
                     c[int(e)] = c.get(int(e), 0) + v
         self._c = {e: v for e, v in c.items() if v}
 
+    @classmethod
+    def _raw(cls, coeffs):
+        """Internal fast path: coeffs maps int exponents to nonzero ints and is not copied."""
+        self = object.__new__(cls)
+        self._c = coeffs
+        return self
+
     @staticmethod
     def zero():
         return LaurentPoly()

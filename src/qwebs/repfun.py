@@ -246,19 +246,24 @@ def qg_action(i, gen, basis):
 
 @lru_cache(maxsize=None)
 def merge_matrix(a, b, N):
-    """Wedge multiplication Lambda^a (x) Lambda^b -> Lambda^(a+b)."""
+    """Wedge multiplication Lambda^a (x) Lambda^b -> Lambda^(a+b).
+
+    Only disjoint pairs (A, B) survive, so each column comes from a subset
+    S of size a+b and a choice of A inside it. Column indices follow the
+    FockBasis(N, (a, b)) order: A's position times the number of B's, plus
+    B's position.
+    """
     if a < 0 or b < 0 or a + b > N:
         raise ValueError(f"merge({a}, {b}) does not fit in N={N}")
-    src = FockBasis(N, (a, b))
-    dst = FockBasis(N, (a + b,))
+    ia, ib, iw = ({T: i for i, T in enumerate(combinations(range(1, N + 1), k))}
+                  for k in (a, b, a + b))
     entries = {}
-    for col, (A, B) in enumerate(src.elements):
-        nf = wedge_normal_form(A + B)
-        if nf is Zero:
-            continue
-        coeff, S = nf
-        entries[(dst.index((S,)), col)] = coeff
-    return QMatrix(dst.dim, src.dim, entries)
+    for S, row in iw.items():
+        for A in combinations(S, a):
+            B = tuple(x for x in S if x not in A)
+            coeff, _ = wedge_normal_form(A + B)
+            entries[(row, ia[A] * len(ib) + ib[B])] = coeff
+    return QMatrix(len(iw), len(ia) * len(ib), entries)
 
 
 @lru_cache(maxsize=None)
@@ -280,13 +285,33 @@ def split_matrix(a, b, N):
 # -------------------------------------------------------------------- rungs
 
 
+def _monomial(p):
+    """(e, sign) of a signed monomial sign * q^e; raises on anything else."""
+    c = p.coeffs()
+    if len(c) == 1:
+        ((e, sign),) = c.items()
+        if sign in (1, -1):
+            return e, sign
+    raise ValueError(f"{p} is not a signed monomial")
+
+
+def _put(out, key, c1, c2):
+    """Store split entry c1 = (e, sign) times wedge coefficient c2 at key."""
+    if key in out:
+        raise ValueError(f"rung entry at {key} is a sum, not a signed monomial")
+    e2, s2 = _monomial(c2)
+    out[key] = (c1[0] + e2, c1[1] * s2)
+
+
 @lru_cache(maxsize=None)
 def _local_rung_cols(ki, kj, sign, a, N):
     """Columns of the one-rung composite on two adjacent uprights.
 
-    Keyed by local pairs (S, T); values are lists of ((S', T'), coeff).
-    An E-rung splits a strand of thickness a off the right upright and
-    merges it into the left one; an F-rung mirrors this.
+    Keyed by local pairs (S, T); values are lists of (S', T', e, +-1), one
+    per nonzero entry +-q^e. An E-rung splits a strand of thickness a off
+    the right upright and merges it into the left one; an F-rung mirrors
+    this. The strand is A = T \\ T' (E) or S \\ S' (F), so each entry is one
+    split entry times one wedge sign: a signed monomial, which is checked.
     """
     if sign == 1:
         lo, hi = ki + a, kj - a
@@ -304,7 +329,7 @@ def _local_rung_cols(ki, kj, sign, a, N):
         whole = FockBasis(N, (ki,))
     sp_cols = {}
     for (r, c), v in sp.entries().items():
-        sp_cols.setdefault(c, []).append((spb.elements[r], v))
+        sp_cols.setdefault(c, []).append((spb.elements[r], _monomial(v)))
 
     cols = {}
     left = list(combinations(range(1, N + 1), ki))
@@ -315,39 +340,73 @@ def _local_rung_cols(ki, kj, sign, a, N):
             if sign == 1:
                 for (A, B2), c1 in sp_cols.get(whole.index((T,)), ()):
                     nf = wedge_normal_form(S + A)
-                    if nf is Zero:
-                        continue
-                    c2, S2 = nf
-                    key = (S2, B2)
-                    v = c1 * c2
-                    out[key] = out[key] + v if key in out else v
+                    if nf is not Zero:
+                        _put(out, (nf[1], B2), c1, nf[0])
             else:
                 for (C, A), c1 in sp_cols.get(whole.index((S,)), ()):
                     nf = wedge_normal_form(A + T)
-                    if nf is Zero:
-                        continue
-                    c2, T2 = nf
-                    key = (C, T2)
-                    v = c1 * c2
-                    out[key] = out[key] + v if key in out else v
-            cols[(S, T)] = [(p, v) for p, v in out.items() if not v.is_zero()]
+                    if nf is not Zero:
+                        _put(out, (C, nf[1]), c1, nf[0])
+            cols[(S, T)] = [(S2, T2, e, s) for (S2, T2), (e, s) in out.items()]
     return cols
+
+
+def _push(N, base, rungs, vec):
+    """Push sparse columns {(col, elem): {e: coeff}} through a rung list.
+
+    Every local rung entry is +-q^e, so a rung only shifts exponents and adds
+    integers; the slice weight moves once per rung for all columns at once.
+    """
+    k = base
+    for r in rungs:
+        i = r.pos - 1
+        cols = _local_rung_cols(k[i], k[i + 1], r.sign, r.thickness, N)
+        out = {}
+        for (ci, elem), poly in vec.items():
+            head, tail = elem[:i], elem[i + 2:]
+            for S2, T2, e, s in cols[elem[i:i + 2]]:
+                key = (ci, head + (S2, T2) + tail)
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                for x, v in poly.items():
+                    x += e
+                    acc[x] = acc.get(x, 0) + s * v
+        vec = {}
+        for key, acc in out.items():
+            acc = {x: v for x, v in acc.items() if v}
+            if acc:
+                vec[key] = acc
+        k = apply_rung(k, r, N)
+    return vec
 
 
 def _terms_matrix(N, base, top, terms):
     """Matrix of sum(coeff * rungs) over [(coeff, rungs)], all from base to top.
 
-    Each basis vector of the base slice is pushed through every rung list;
-    the images fill the columns.
+    All basis vectors of the base slice are pushed through each rung list in
+    one pass; each term's coefficient is multiplied in once, at the end.
     """
     src = FockBasis(N, base)
     dst = FockBasis(N, top)
+    cols = {(ci, elem): {0: 1} for ci, elem in enumerate(src.elements)}
+    row = dst._index
+    acc = {}
+    for coeff, rungs in terms:
+        cc = coeff.coeffs()
+        for (ci, elem), poly in _push(N, base, rungs, cols).items():
+            key = (row[elem], ci)
+            tgt = acc.get(key)
+            if tgt is None:
+                tgt = acc[key] = {}
+            for x, v in poly.items():
+                for ce, cv in cc.items():
+                    tgt[x + ce] = tgt.get(x + ce, 0) + v * cv
     entries = {}
-    for ci, elem in enumerate(src.elements):
-        for coeff, rungs in terms:
-            for new, v in _apply_rungs_to_vector(N, base, rungs, {elem: coeff}).items():
-                key = (dst.index(new), ci)
-                entries[key] = entries[key] + v if key in entries else v
+    for key, tgt in acc.items():
+        tgt = {x: v for x, v in tgt.items() if v}
+        if tgt:
+            entries[key] = LaurentPoly._raw(tgt)
     return QMatrix(dst.dim, src.dim, entries)
 
 
@@ -372,23 +431,6 @@ def lincomb_matrix(w):
     return _terms_matrix(w.N, w.base, w.top, [(c, lad.rungs) for lad, c in w.items()])
 
 
-def _apply_rungs_to_vector(N, base, rungs, vec):
-    """Push a sparse vector {elem: coeff} through a rung list."""
-    k = GlWeight(base)
-    for r in rungs:
-        i = r.pos - 1
-        cols = _local_rung_cols(k[i], k[i + 1], r.sign, r.thickness, N)
-        out = {}
-        for elem, c in vec.items():
-            for (S2, T2), v in cols[(elem[i], elem[i + 1])]:
-                new = elem[:i] + (S2, T2) + elem[i + 2:]
-                cv = c * v
-                out[new] = out[new] + cv if new in out else cv
-        vec = {e: c for e, c in out.items() if not c.is_zero()}
-        k = apply_rung(k, r, N)
-    return vec
-
-
 def _is_highest(k, N):
     k = tuple(k)
     total = sum(k)
@@ -410,8 +452,8 @@ def ev_closed(u):
     if tuple(u.top) != tuple(u.base):
         raise ValueError("ladder is not closed")
     e0 = FockBasis(u.N, u.base).elements[0]
-    vec = _apply_rungs_to_vector(u.N, u.base, u.rungs, {e0: LaurentPoly.one()})
-    return vec.get(e0, LaurentPoly.zero())
+    vec = _push(u.N, u.base, u.rungs, {(0, e0): {0: 1}})
+    return LaurentPoly._raw(vec.get((0, e0), {}))
 
 
 def web_form(u, v):

@@ -13,6 +13,7 @@ from qwebs.relations import (
     verify_relation,
     verify_report,
 )
+from qwebs import repfun
 from qwebs.repfun import lincomb_matrix
 
 
@@ -60,12 +61,30 @@ def test_instance_enumeration_small():
     assert [i.labels for i in relation_instances(3, ["associativity"])] == [(1, 1, 1)]
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_full_sweep_passes(N):
     lines = verify_report(N)
     assert lines, "sweep produced no instances"
     bad = [ln for ln in lines if ln.endswith("FAIL")]
     assert bad == []
+
+
+def test_sweep_fails_under_wrong_wedge_sign(monkeypatch):
+    # x_j ^ x_i = -q x_i ^ x_j is the wrong convention; a push that still
+    # passed every relation would not be checking anything.
+    caches = (repfun.merge_matrix, repfun.split_matrix, repfun._local_rung_cols)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
+    try:
+        lines = verify_report(3)
+    finally:
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+    bad = [ln for ln in lines if ln.endswith("FAIL")]
+    assert len(bad) == 39, bad
+    assert not [ln for ln in verify_report(3) if ln.endswith("FAIL")]
 
 
 def test_report_line_format():

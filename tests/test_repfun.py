@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -11,9 +13,12 @@ from qwebs.webs import (
     WebLinComb,
     Zero,
     apply_rung,
+    compose,
     highest_weight_ladder,
     make_ladder,
+    reflect,
 )
+from qwebs import repfun
 from qwebs.repfun import (
     FockBasis,
     QMatrix,
@@ -312,3 +317,143 @@ def test_lincomb_matrix():
     M = lincomb_matrix(cancel)
     assert (M.nrows, M.ncols) == (3, 3)
     assert M.is_zero()
+
+
+# ------------------------------------------------- the LaurentPoly push oracle
+# The functor as it was evaluated before rung entries became signed
+# monomials: every local entry a LaurentPoly product, every basis vector
+# pushed through the rungs on its own.
+
+
+@lru_cache(maxsize=None)
+def _oracle_rung_cols(ki, kj, sign, a, N):
+    if sign == 1:
+        sp = split_matrix(a, kj - a, N)
+        spb = FockBasis(N, (a, kj - a))
+        whole = FockBasis(N, (kj,))
+    else:
+        sp = split_matrix(ki - a, a, N)
+        spb = FockBasis(N, (ki - a, a))
+        whole = FockBasis(N, (ki,))
+    sp_cols = {}
+    for (r, c), v in sp.entries().items():
+        sp_cols.setdefault(c, []).append((spb.elements[r], v))
+    cols = {}
+    for S in combinations(range(1, N + 1), ki):
+        for T in combinations(range(1, N + 1), kj):
+            out = {}
+            if sign == 1:
+                for (A, B2), c1 in sp_cols.get(whole.index((T,)), ()):
+                    nf = wedge_normal_form(S + A)
+                    if nf is Zero:
+                        continue
+                    c2, S2 = nf
+                    key = (S2, B2)
+                    out[key] = out.get(key, LaurentPoly.zero()) + c1 * c2
+            else:
+                for (C, A), c1 in sp_cols.get(whole.index((S,)), ()):
+                    nf = wedge_normal_form(A + T)
+                    if nf is Zero:
+                        continue
+                    c2, T2 = nf
+                    key = (C, T2)
+                    out[key] = out.get(key, LaurentPoly.zero()) + c1 * c2
+            cols[(S, T)] = [(p, v) for p, v in out.items() if not v.is_zero()]
+    return cols
+
+
+def _oracle_push(N, base, rungs, vec):
+    k = GlWeight(base)
+    for r in rungs:
+        i = r.pos - 1
+        cols = _oracle_rung_cols(k[i], k[i + 1], r.sign, r.thickness, N)
+        out = {}
+        for elem, c in vec.items():
+            for (S2, T2), v in cols[(elem[i], elem[i + 1])]:
+                new = elem[:i] + (S2, T2) + elem[i + 2:]
+                out[new] = out.get(new, LaurentPoly.zero()) + c * v
+        vec = {e: c for e, c in out.items() if not c.is_zero()}
+        k = apply_rung(k, r, N)
+    return vec
+
+
+def _oracle_matrix(N, base, top, terms):
+    src = FockBasis(N, base)
+    dst = FockBasis(N, top)
+    entries = {}
+    for ci, elem in enumerate(src.elements):
+        for coeff, rungs in terms:
+            for new, v in _oracle_push(N, base, rungs, {elem: coeff}).items():
+                key = (dst.index(new), ci)
+                entries[key] = entries.get(key, LaurentPoly.zero()) + v
+    return QMatrix(dst.dim, src.dim, entries)
+
+
+def _oracle_ev_closed(u):
+    e0 = FockBasis(u.N, u.base).elements[0]
+    return _oracle_push(u.N, u.base, u.rungs, {e0: ONE}).get(e0, LaurentPoly.zero())
+
+
+def _rung_options(N, m, k):
+    return [Rung(p, s, a)
+            for p in range(1, m)
+            for s in (1, -1)
+            for a in range(1, N + 1)
+            if apply_rung(k, Rung(p, s, a), N) is not Zero]
+
+
+def _random_rungs(rng, N, lad, max_rungs):
+    for _ in range(rng.randint(0, max_rungs)):
+        opts = _rung_options(N, lad.m, lad.top)
+        if not opts:
+            break
+        lad = lad.with_rung(rng.choice(opts))
+    return lad
+
+
+def test_local_rung_cols_are_signed_monomials():
+    keys = entries = 0
+    for N in range(2, 7):
+        for ki in range(N + 1):
+            for kj in range(N + 1):
+                for sign in (1, -1):
+                    for a in range(1, N + 1):
+                        if apply_rung(GlWeight((ki, kj)), Rung(1, sign, a), N) is Zero:
+                            continue
+                        keys += 1
+                        new = repfun._local_rung_cols(ki, kj, sign, a, N)
+                        entries += sum(len(col) for col in new.values())
+                        old = _oracle_rung_cols(ki, kj, sign, a, N)
+                        assert new.keys() == old.keys()
+                        for ST, col in old.items():
+                            for _, v in col:
+                                ((e, c),) = v.coeffs().items()
+                                assert c in (1, -1), (N, ki, kj, sign, a, ST, v)
+                            assert {(S2, T2): Q(e, s) for S2, T2, e, s in new[ST]} == dict(col)
+    assert (keys, entries) == (390, 28138)
+
+
+def test_push_matches_laurent_oracle():
+    rng = random.Random(6)
+    for N in range(2, 6):
+        for m in (2, 3):
+            for _ in range(10):
+                base = GlWeight(rng.randint(0, N) for _ in range(m))
+                lads = [_random_rungs(rng, N, Ladder(N, m, base), 3) for _ in range(5)]
+                for lad in lads:
+                    want = _oracle_matrix(N, base, lad.top, [(ONE, lad.rungs)])
+                    assert ladder_matrix(lad) == want, lad
+                top = lads[0].top
+                terms = {lad: Q(rng.randint(-2, 2), rng.choice((1, -1, 2)))
+                         for lad in lads if tuple(lad.top) == tuple(top)}
+                w = WebLinComb(N, m, base, top, terms)
+                want = _oracle_matrix(N, base, top, [(c, lad.rungs) for lad, c in w.items()])
+                assert lincomb_matrix(w) == want, w
+            for _ in range(10):
+                hw = highest_weight_ladder(N, m, rng.randint(1, m - 1))
+                u = _random_rungs(rng, N, hw, 3)
+                v = _random_rungs(rng, N, hw, 3)
+                if tuple(u.top) != tuple(v.top):
+                    v = u
+                closed = compose(reflect(u), v)
+                assert ev_closed(closed) == _oracle_ev_closed(closed), closed
