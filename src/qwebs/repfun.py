@@ -6,6 +6,9 @@ Merges multiply wedge words, splits are the (unique up to scale) reverse
 intertwiners, and rungs compose one split with one merge through a strand
 of the rung's thickness. Evaluating every rung of a ladder bottom to top
 gives a matrix over Z[q, q^-1], and closed ladders evaluate to scalars.
+Each merge and split is checked once against the U_q(gl_N) action; when
+every piece of two ladder sums passes, they are compared only on the basis
+vectors that generate their source as a module.
 
 The quantum wedge sorting convention lives in WEDGE_FLIP; see CONVENTIONS.md
 for why that exponent and not its bar image.
@@ -13,7 +16,7 @@ for why that exponent and not its bar image.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .qpoly import LaurentPoly
@@ -107,6 +110,13 @@ class QMatrix:
                     e[(r, c)] = v
         self._e = e
 
+    @classmethod
+    def _raw(cls, nrows, ncols, entries):
+        """Trusted constructor: entries are nonzero LaurentPolys inside the shape."""
+        m = object.__new__(cls)
+        m.nrows, m.ncols, m._e = nrows, ncols, entries
+        return m
+
     @staticmethod
     def identity(n):
         one = LaurentPoly.one()
@@ -192,13 +202,13 @@ class QMatrix:
 def _e_move(i, T):
     """E_i on a wedge basis subset: i+1 -> i, or None."""
     if i + 1 in T and i not in T:
-        return tuple(sorted(set(T) - {i + 1} | {i}))
+        return tuple(i if x == i + 1 else x for x in T)
     return None
 
 
 def _f_move(i, T):
     if i in T and i + 1 not in T:
-        return tuple(sorted(set(T) - {i} | {i + 1}))
+        return tuple(i + 1 if x == i else x for x in T)
     return None
 
 
@@ -206,39 +216,64 @@ def _kexp(i, T):
     return (1 if i in T else 0) - (1 if i + 1 in T else 0)
 
 
-def qg_action(i, gen, basis):
-    """Action of the generator E_i / F_i / K_i on a FockBasis tensor product.
+def _gen_terms(i, gen, elem):
+    """E_i or F_i on one basis element of a tensor product: [(elem', e)], each q^e elem'.
 
     Coproducts: E acts in one factor with K on every later factor; F acts in
-    one factor with K^-1 on every earlier factor; K is grouplike.
+    one factor with K^-1 on every earlier factor.
     """
-    if gen not in ("E", "F", "K"):
-        raise ValueError(f"unknown generator {gen!r}")
-    if not 1 <= i <= basis.N - 1:
-        raise ValueError(f"generator index {i} outside [1, {basis.N - 1}]")
-    entries = {}
-    for col, elem in enumerate(basis.elements):
-        if gen == "K":
-            e = sum(_kexp(i, T) for T in elem)
-            entries[(col, col)] = LaurentPoly.q_power(e)
-            continue
-        for j, T in enumerate(elem):
-            if gen == "E":
-                moved = _e_move(i, T)
-                if moved is None:
-                    continue
-                twist = sum(_kexp(i, elem[j2]) for j2 in range(j + 1, len(elem)))
-            else:
-                moved = _f_move(i, T)
-                if moved is None:
-                    continue
-                twist = -sum(_kexp(i, elem[j2]) for j2 in range(j))
-            new = elem[:j] + (moved,) + elem[j + 1:]
-            row = basis.index(new)
-            add = LaurentPoly.q_power(twist)
-            key = (row, col)
-            entries[key] = entries[key] + add if key in entries else add
-    return QMatrix(basis.dim, basis.dim, entries)
+    out = []
+    for j, T in enumerate(elem):
+        if gen == "E":
+            moved = _e_move(i, T)
+            if moved is not None:
+                out.append((elem[:j] + (moved,) + elem[j + 1:],
+                            sum(_kexp(i, U) for U in elem[j + 1:])))
+        else:
+            moved = _f_move(i, T)
+            if moved is not None:
+                out.append((elem[:j] + (moved,) + elem[j + 1:],
+                            -sum(_kexp(i, U) for U in elem[:j])))
+    return out
+
+
+def _add_term(acc, key, e, s):
+    poly = acc.setdefault(key, {})
+    poly[e] = poly.get(e, 0) + s
+
+
+def _commutes(N, cols):
+    """Whether a map commutes with every E_i, F_i and K_i of U_q(gl_N).
+
+    cols maps a source basis element to its image as a list of (target
+    element, e, +-1), one per term +-q^e; elements missing from cols map to
+    zero. f(g x) - g(f x) is built term by term, so no matrix is formed.
+    It can be nonzero only where f(x) is, or where g moves x onto such an
+    element, so only those x are visited.
+    """
+    for i in range(1, N):
+        for x, col in cols.items():
+            w = sum(_kexp(i, T) for T in x)
+            if any(sum(_kexp(i, T) for T in y) != w for y, _, _ in col):
+                return False
+        for gen, undo in (("E", _f_move), ("F", _e_move)):
+            todo = set(cols)
+            for y in cols:
+                for j, T in enumerate(y):
+                    moved = undo(i, T)
+                    if moved is not None:
+                        todo.add(y[:j] + (moved,) + y[j + 1:])
+            for x in todo:
+                diff = {}
+                for y, t in _gen_terms(i, gen, x):
+                    for z, e, s in cols.get(y, ()):
+                        _add_term(diff, z, e + t, s)
+                for y, e, s in cols.get(x, ()):
+                    for z, t in _gen_terms(i, gen, y):
+                        _add_term(diff, z, e + t, -s)
+                if any(c for poly in diff.values() for c in poly.values()):
+                    return False
+    return True
 
 
 # ------------------------------------------------------------ merge and split
@@ -295,12 +330,67 @@ def _monomial(p):
     raise ValueError(f"{p} is not a signed monomial")
 
 
-def _put(out, key, c1, c2):
-    """Store split entry c1 = (e, sign) times wedge coefficient c2 at key."""
-    if key in out:
-        raise ValueError(f"rung entry at {key} is a sum, not a signed monomial")
-    e2, s2 = _monomial(c2)
-    out[key] = (c1[0] + e2, c1[1] * s2)
+def _monomial_cols(m, src, dst):
+    """Columns of a QMatrix as {src elem: [(dst elem, e, +-1)]}."""
+    cols = {}
+    for (r, c), v in m.entries().items():
+        cols.setdefault(src[c], []).append((dst[r], *_monomial(v)))
+    return cols
+
+
+class _Piece:
+    """Merge and split of the wedge factors (a, b) in signed-monomial form.
+
+    merge and split map basis elements to lists of (element, e, +-1): merge
+    is keyed by pairs (A, B), split by (S,). certified, worked out on first
+    use, says that both commute with every E_i, F_i and K_i; rungs are
+    built from these very entries, so a ladder whose pieces are all
+    certified is an intertwiner.
+    """
+
+    def __init__(self, N, merge, split):
+        self.N, self.merge, self.split = N, merge, split
+
+    @cached_property
+    def certified(self):
+        return _commutes(self.N, self.merge) and _commutes(self.N, self.split)
+
+
+@lru_cache(maxsize=None)
+def _piece(a, b, N):
+    """The _Piece of merge_matrix(a, b, N) and split_matrix(a, b, N)."""
+    pairs = FockBasis(N, (a, b)).elements
+    whole = FockBasis(N, (a + b,)).elements
+    return _Piece(N, _monomial_cols(merge_matrix(a, b, N), pairs, whole),
+                  _monomial_cols(split_matrix(a, b, N), whole, pairs))
+
+
+def _rung_pieces(ki, kj, sign, a, N):
+    """(split, merge) factor pairs of one rung on uprights (ki, kj).
+
+    An E-rung is (merge(ki, a) (x) id)(id (x) split(a, kj - a)): it splits a
+    strand of thickness a off the right upright and merges it into the left
+    one. An F-rung mirrors this with split(ki - a, a) and merge(a, kj).
+    """
+    if sign == 1:
+        sp, mg = (a, kj - a), (ki, a)
+    else:
+        sp, mg = (ki - a, a), (a, kj)
+    if min(sp + mg) < 0 or sum(mg) > N:
+        raise ValueError("rung does not fit")
+    return sp, mg
+
+
+def _certified(N, base, rungs):
+    """Whether every merge and split piece of a rung list is certified."""
+    k = base
+    for r in rungs:
+        i = r.pos - 1
+        sp, mg = _rung_pieces(k[i], k[i + 1], r.sign, r.thickness, N)
+        if not (_piece(*sp, N).certified and _piece(*mg, N).certified):
+            return False
+        k = apply_rung(k, r, N)
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -308,46 +398,31 @@ def _local_rung_cols(ki, kj, sign, a, N):
     """Columns of the one-rung composite on two adjacent uprights.
 
     Keyed by local pairs (S, T); values are lists of (S', T', e, +-1), one
-    per nonzero entry +-q^e. An E-rung splits a strand of thickness a off
-    the right upright and merges it into the left one; an F-rung mirrors
-    this. The strand is A = T \\ T' (E) or S \\ S' (F), so each entry is one
-    split entry times one wedge sign: a signed monomial, which is checked.
+    per nonzero entry +-q^e, composed from the cached merge and split
+    entries of _piece. The strand is A = T \\ T' (E) or S \\ S' (F), so
+    each entry is one split entry times one merge entry: a signed monomial,
+    which is checked.
     """
-    if sign == 1:
-        lo, hi = ki + a, kj - a
-        if not (0 <= hi and lo <= N):
-            raise ValueError("rung does not fit")
-        sp = split_matrix(a, kj - a, N)
-        spb = FockBasis(N, (a, kj - a))
-        whole = FockBasis(N, (kj,))
-    else:
-        lo, hi = ki - a, kj + a
-        if not (0 <= lo and hi <= N):
-            raise ValueError("rung does not fit")
-        sp = split_matrix(ki - a, a, N)
-        spb = FockBasis(N, (ki - a, a))
-        whole = FockBasis(N, (ki,))
-    sp_cols = {}
-    for (r, c), v in sp.entries().items():
-        sp_cols.setdefault(c, []).append((spb.elements[r], _monomial(v)))
-
+    sp, mg = _rung_pieces(ki, kj, sign, a, N)
+    split, merge = _piece(*sp, N).split, _piece(*mg, N).merge
     cols = {}
-    left = list(combinations(range(1, N + 1), ki))
-    right = list(combinations(range(1, N + 1), kj))
-    for S in left:
-        for T in right:
+    for S in combinations(range(1, N + 1), ki):
+        for T in combinations(range(1, N + 1), kj):
             out = {}
             if sign == 1:
-                for (A, B2), c1 in sp_cols.get(whole.index((T,)), ()):
-                    nf = wedge_normal_form(S + A)
-                    if nf is not Zero:
-                        _put(out, (nf[1], B2), c1, nf[0])
+                for (A, B2), e1, s1 in split.get((T,), ()):
+                    for (S2,), e2, s2 in merge.get((S, A), ()):
+                        out.setdefault((S2, B2), []).append((e1 + e2, s1 * s2))
             else:
-                for (C, A), c1 in sp_cols.get(whole.index((S,)), ()):
-                    nf = wedge_normal_form(A + T)
-                    if nf is not Zero:
-                        _put(out, (C, nf[1]), c1, nf[0])
-            cols[(S, T)] = [(S2, T2, e, s) for (S2, T2), (e, s) in out.items()]
+                for (C, A), e1, s1 in split.get((S,), ()):
+                    for (T2,), e2, s2 in merge.get((A, T), ()):
+                        out.setdefault((C, T2), []).append((e1 + e2, s1 * s2))
+            col = []
+            for (S2, T2), terms in out.items():
+                if len(terms) > 1:
+                    raise ValueError(f"rung entry at {(S2, T2)} is a sum, not a signed monomial")
+                col.append((S2, T2, *terms[0]))
+            cols[(S, T)] = col
     return cols
 
 
@@ -381,33 +456,78 @@ def _push(N, base, rungs, vec):
     return vec
 
 
-def _terms_matrix(N, base, top, terms):
-    """Matrix of sum(coeff * rungs) over [(coeff, rungs)], all from base to top.
+def _images(N, base, terms, elems):
+    """{(row elem, col): {e: c}} of sum(coeff * rungs) over [(coeff, rungs)],
+    applied to the basis elements elems (col is the position in elems).
 
-    All basis vectors of the base slice are pushed through each rung list in
-    one pass; each term's coefficient is multiplied in once, at the end.
+    All columns are pushed through each rung list in one pass; a term's
+    coefficient is multiplied in once, at the end, and not at all when it
+    is 1.
     """
-    src = FockBasis(N, base)
-    dst = FockBasis(N, top)
-    cols = {(ci, elem): {0: 1} for ci, elem in enumerate(src.elements)}
-    row = dst._index
+    cols = {(ci, elem): {0: 1} for ci, elem in enumerate(elems)}
     acc = {}
     for coeff, rungs in terms:
         cc = coeff.coeffs()
+        unit = cc == {0: 1}
         for (ci, elem), poly in _push(N, base, rungs, cols).items():
-            key = (row[elem], ci)
-            tgt = acc.get(key)
+            tgt = acc.get((elem, ci))
             if tgt is None:
-                tgt = acc[key] = {}
+                tgt = acc[(elem, ci)] = {}
+            if unit:
+                for x, v in poly.items():
+                    tgt[x] = tgt.get(x, 0) + v
+                continue
             for x, v in poly.items():
                 for ce, cv in cc.items():
                     tgt[x + ce] = tgt.get(x + ce, 0) + v * cv
-    entries = {}
+    out = {}
     for key, tgt in acc.items():
         tgt = {x: v for x, v in tgt.items() if v}
         if tgt:
-            entries[key] = LaurentPoly._raw(tgt)
-    return QMatrix(dst.dim, src.dim, entries)
+            out[key] = tgt
+    return out
+
+
+def _generating_elements(N, base):
+    """Basis elements of the slice whose first factor of nonzero thickness k
+    is x_1 ^ ... ^ x_k, the highest weight vector of that factor.
+
+    With V that factor and W the ones after it, V (x) W is generated as a
+    U_q(gl_N)-module by v_lambda (x) W: Delta(F) = F (x) 1 + K^-1 (x) F gives
+    F v (x) w = F(v (x) w) - K^-1 v (x) F w, and V = U^- v_lambda. So two
+    intertwiners that agree on these elements are equal.
+    """
+    j = next((j for j, k in enumerate(base) if k), len(base))
+    head = ((),) * j
+    if j == len(base):
+        return [head]
+    first = (tuple(range(1, base[j] + 1)),)
+    rest = product(*(combinations(range(1, N + 1), k) for k in base[j + 1:]))
+    return [head + first + tail for tail in rest]
+
+
+def _maps_agree(N, base, lhs, rhs):
+    """Whether two lists of (coeff, rungs) from base give the same matrix.
+
+    When every merge and split piece on both sides is certified, both are
+    intertwiners and only the generating columns are pushed; otherwise all
+    columns are, and the verdict is that of the full matrices.
+    """
+    if all(_certified(N, base, rungs) for _, rungs in lhs + rhs):
+        elems = _generating_elements(N, base)
+    else:
+        elems = FockBasis(N, base).elements
+    return _images(N, base, lhs, elems) == _images(N, base, rhs, elems)
+
+
+def _terms_matrix(N, base, top, terms):
+    """Matrix of sum(coeff * rungs) over [(coeff, rungs)], all from base to top."""
+    src = FockBasis(N, base)
+    dst = FockBasis(N, top)
+    row = dst._index
+    entries = {(row[elem], ci): LaurentPoly._raw(poly)
+               for (elem, ci), poly in _images(N, base, terms, src.elements).items()}
+    return QMatrix._raw(dst.dim, src.dim, entries)
 
 
 def rung_matrix(rung, k, N):

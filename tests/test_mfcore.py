@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from qwebs import mfcore
 from qwebs.qpoly import LaurentPoly
 from qwebs.webs import Ladder, Rung
 from qwebs.mfcore import (
     GradedRing,
+    IrreducibleToFinite,
     KoszulMF,
     _piece,
     check_potential,
@@ -359,6 +361,26 @@ def test_exclusion_terminates_on_digon_pair():
     done = subprocess.run([sys.executable, "-c", DIGON_HANG], env=env,
                           capture_output=True, text=True, timeout=20)
     assert done.returncode == 0, done.stderr
+
+
+def test_exclusion_bounds_row_sweeps(monkeypatch):
+    # a sweep that always reports progress but never exposes a linear entry
+    calls = []
+
+    def restless(cur, internals):
+        calls.append(1)
+        if len(calls) > 50:
+            raise AssertionError("exclude_variables kept sweeping")
+        return KoszulMF(cur.gr, cur.rows, cur.N, qshift=cur.qshift, hshift=cur.hshift,
+                        basemodule=cur.basemodule, boundary=cur.boundary)
+
+    monkeypatch.setattr(mfcore, "_rref_once", restless)
+    gr = GradedRing([("a", 1)])
+    x = gr.var("a", 1)
+    mf = KoszulMF(gr, [(x * x, x * x, 4, 4)], 3)
+    with pytest.raises(IrreducibleToFinite):
+        exclude_variables(mf)
+    assert len(calls) == mfcore.MAX_IDLE_SWEEPS
 
 
 def test_composed_identity_edges_are_transparent():

@@ -1,4 +1,5 @@
 import random
+from math import comb, prod
 
 import pytest
 
@@ -13,8 +14,8 @@ from qwebs.relations import (
     verify_relation,
     verify_report,
 )
-from qwebs import repfun
-from qwebs.repfun import lincomb_matrix
+from qwebs import relations, repfun
+from qwebs.repfun import FockBasis, QMatrix, lincomb_matrix
 
 
 def random_ladder(rng, N, m, max_rungs=4):
@@ -72,7 +73,7 @@ def test_full_sweep_passes(N):
 def test_sweep_fails_under_wrong_wedge_sign(monkeypatch):
     # x_j ^ x_i = -q x_i ^ x_j is the wrong convention; a push that still
     # passed every relation would not be checking anything.
-    caches = (repfun.merge_matrix, repfun.split_matrix, repfun._local_rung_cols)
+    caches = (repfun.merge_matrix, repfun.split_matrix, repfun._piece, repfun._local_rung_cols)
     for cache in caches:
         cache.cache_clear()
     monkeypatch.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
@@ -85,6 +86,146 @@ def test_sweep_fails_under_wrong_wedge_sign(monkeypatch):
     bad = [ln for ln in lines if ln.endswith("FAIL")]
     assert len(bad) == 39, bad
     assert not [ln for ln in verify_report(3) if ln.endswith("FAIL")]
+
+
+# --------------------------------------- the full-column check as the oracle
+
+PIECE_CACHES = (repfun.merge_matrix, repfun.split_matrix, repfun._piece, repfun._local_rung_cols)
+
+
+def _full_sides_equal(N, m, base, lhs, rhs):
+    """Both sides compared as full matrices, every basis column pushed."""
+    a = relations._comb(N, m, base, lhs)
+    b = relations._comb(N, m, base, rhs)
+    if a is None and b is None:
+        return True
+    if a is None or b is None:
+        return lincomb_matrix(a if a is not None else b).is_zero()
+    if tuple(a.top) != tuple(b.top):
+        return False
+    return lincomb_matrix(a) == lincomb_matrix(b)
+
+
+def _recorded_sides(monkeypatch, N):
+    """verify_report(N) and every (N, m, base, lhs, rhs) it compared."""
+    seen = []
+    real = relations._sides_equal
+
+    def spy(*args):
+        seen.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(relations, "_sides_equal", spy)
+        lines = verify_report(N)
+    return lines, seen
+
+
+def _full_report(monkeypatch, N):
+    with monkeypatch.context() as mp:
+        mp.setattr(relations, "_sides_equal", _full_sides_equal)
+        return verify_report(N)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_generating_columns_match_full_check(monkeypatch, N):
+    lines, seen = _recorded_sides(monkeypatch, N)
+    assert lines == _full_report(monkeypatch, N)
+    assert seen
+    for args in seen:
+        _, m, base, lhs, rhs = args
+        assert relations._sides_equal(*args) == _full_sides_equal(*args), args
+        elems = repfun._generating_elements(N, base)
+        ks = [k for k in base if k]
+        assert len(set(elems)) == (prod(comb(N, k) for k in ks[1:]) if ks else 1)
+        src = FockBasis(N, base)
+        pos = {elem: ci for ci, elem in enumerate(elems)}
+        assert set(elems) <= set(src.elements)
+        for side in (lhs, rhs):
+            w = relations._comb(N, m, base, side)
+            if w is None:
+                continue
+            terms = [(c, lad.rungs) for lad, c in w.items()]
+            # every piece of every relation side is certified on working code
+            assert all(repfun._certified(N, base, rungs) for _, rungs in terms)
+            dst = FockBasis(N, w.top)
+            want = {(dst.elements[r], pos[src.elements[c]]): v.coeffs()
+                    for (r, c), v in lincomb_matrix(w).entries().items()
+                    if src.elements[c] in pos}
+            assert repfun._images(N, base, terms, elems) == want, (base, side)
+
+
+def _scaled_split(real):
+    # a scalar multiple of an intertwiner is one, so this split still
+    # certifies; the digon and square coefficients then come out wrong
+    def split_matrix(a, b, N):
+        m = real(a, b, N)
+        return m.scaled(LaurentPoly.q_power(1)) if a * b >= 2 else m
+    return split_matrix
+
+
+@pytest.mark.parametrize("mutation, N, fails", [
+    ("wedge", 3, 39), ("wedge", 4, 119), ("wedge", 5, 285),
+    ("split", 3, 23), ("split", 4, 95), ("split", 5, 249),
+])
+def test_mutated_pieces_fail_as_under_full_check(monkeypatch, mutation, N, fails):
+    for cache in PIECE_CACHES:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            if mutation == "wedge":
+                mp.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
+            else:
+                mp.setattr(repfun, "split_matrix", _scaled_split(repfun.split_matrix))
+            certified = [repfun._piece(a, b, N).certified
+                         for a in range(N + 1) for b in range(N + 1 - a)]
+            lines = verify_report(N)
+            full = _full_report(monkeypatch, N)
+    finally:
+        for cache in PIECE_CACHES:
+            cache.cache_clear()
+    # the wrong wedge sign breaks the certificate and falls back to all
+    # columns; the scaled split keeps it, so the generating columns alone
+    # must catch the wrong coefficients
+    assert all(certified) == (mutation == "split")
+    assert lines == full
+    assert sum(ln.endswith("FAIL") for ln in lines) == fails
+
+
+def _split_wrong_off_highest(real):
+    # split(0, 1) with the sign of x_2 flipped: wrong only away from the
+    # highest weight vector x_1, so the generating columns cannot see it
+    def split_matrix(a, b, N):
+        m = real(a, b, N)
+        if (a, b) != (0, 1):
+            return m
+        col = FockBasis(N, (1,)).index(((2,),))
+        return QMatrix(m.nrows, m.ncols,
+                       {(r, c): -v if c == col else v for (r, c), v in m.entries().items()})
+    return split_matrix
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_uncertified_piece_falls_back_to_all_columns(monkeypatch, N):
+    base = (1, 0)
+    loop = [(LaurentPoly.one(), (Rung(1, -1, 1), Rung(1, 1, 1)))]
+    ident = [(LaurentPoly.one(), ())]
+    for cache in PIECE_CACHES:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(repfun, "split_matrix", _split_wrong_off_highest(repfun.split_matrix))
+            certified = repfun._piece(0, 1, N).certified
+            elems = repfun._generating_elements(N, base)
+            blind = repfun._images(N, base, loop, elems) == repfun._images(N, base, ident, elems)
+            agree = repfun._maps_agree(N, base, loop, ident)
+            verdict = verify_relation(RelationInstance("digon", (0, 1)), N)
+    finally:
+        for cache in PIECE_CACHES:
+            cache.cache_clear()
+    assert not certified
+    assert blind
+    assert not agree and not verdict
 
 
 def test_report_line_format():

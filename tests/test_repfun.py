@@ -22,11 +22,13 @@ from qwebs import repfun
 from qwebs.repfun import (
     FockBasis,
     QMatrix,
+    _e_move,
+    _f_move,
+    _kexp,
     ev_closed,
     ladder_matrix,
     lincomb_matrix,
     merge_matrix,
-    qg_action,
     rung_matrix,
     split_matrix,
     web_form,
@@ -139,6 +141,108 @@ def _tensor_entries(A, B, rowA, rowB, colA, colB, N):
 
 
 # ----------------------------------------------------------------- qg action
+# The U_q(gl_N) action as QMatrix generators: the oracle of the monomial
+# intertwiner certificate in repfun.
+
+
+def qg_action(i, gen, basis):
+    """Action of the generator E_i / F_i / K_i on a FockBasis tensor product.
+
+    Coproducts: E acts in one factor with K on every later factor; F acts in
+    one factor with K^-1 on every earlier factor; K is grouplike.
+    """
+    if gen not in ("E", "F", "K"):
+        raise ValueError(f"unknown generator {gen!r}")
+    if not 1 <= i <= basis.N - 1:
+        raise ValueError(f"generator index {i} outside [1, {basis.N - 1}]")
+    entries = {}
+    for col, elem in enumerate(basis.elements):
+        if gen == "K":
+            e = sum(_kexp(i, T) for T in elem)
+            entries[(col, col)] = LaurentPoly.q_power(e)
+            continue
+        for j, T in enumerate(elem):
+            if gen == "E":
+                moved = _e_move(i, T)
+                if moved is None:
+                    continue
+                twist = sum(_kexp(i, elem[j2]) for j2 in range(j + 1, len(elem)))
+            else:
+                moved = _f_move(i, T)
+                if moved is None:
+                    continue
+                twist = -sum(_kexp(i, elem[j2]) for j2 in range(j))
+            new = elem[:j] + (moved,) + elem[j + 1:]
+            row = basis.index(new)
+            add = LaurentPoly.q_power(twist)
+            key = (row, col)
+            entries[key] = entries[key] + add if key in entries else add
+    return QMatrix(basis.dim, basis.dim, entries)
+
+
+def _qg_commutes(m, src, dst, N):
+    return all(qg_action(i, g, dst) * m == m * qg_action(i, g, src)
+               for i in range(1, N) for g in ("E", "F", "K"))
+
+
+def _piece_variants(a, b, N, monkeypatch):
+    """(kind, QMatrix) for the merge and split of (a, b), as built and under
+    the wrong wedge sign x_j ^ x_i = -q x_i ^ x_j, each also scaled by q and
+    with one entry negated."""
+    with monkeypatch.context() as mp:
+        mp.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
+        wrong = repfun.merge_matrix.__wrapped__(a, b, N)
+    scale = Q(a * b)
+    wrong_split = QMatrix(wrong.ncols, wrong.nrows,
+                          {(c, r): v * scale for (r, c), v in wrong.entries().items()})
+    out = []
+    for kind, m in (("merge", merge_matrix(a, b, N)), ("split", split_matrix(a, b, N)),
+                    ("merge", wrong), ("split", wrong_split)):
+        e = m.entries()
+        rc = min(e)
+        e[rc] = -e[rc]
+        out += [(kind, m), (kind, m.scaled(Q(1))), (kind, QMatrix(m.nrows, m.ncols, e))]
+    return out
+
+
+def test_certificate_matches_qg_action(monkeypatch):
+    verdicts = []
+    for N in range(2, 5):
+        for a in range(N + 1):
+            for b in range(N + 1 - a):
+                pairs = FockBasis(N, (a, b))
+                whole = FockBasis(N, (a + b,))
+                for kind, m in _piece_variants(a, b, N, monkeypatch):
+                    src, dst = (pairs, whole) if kind == "merge" else (whole, pairs)
+                    cols = repfun._monomial_cols(m, src.elements, dst.elements)
+                    got = repfun._commutes(N, cols)
+                    assert got == _qg_commutes(m, src, dst, N), (N, a, b, kind, m.entries())
+                    verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_certificate_holds(N):
+    for a in range(N + 1):
+        for b in range(N + 1 - a):
+            assert repfun._piece(a, b, N).certified, (a, b, N)
+
+
+def test_certificate_fails_under_wrong_wedge_sign(monkeypatch):
+    caches = (repfun.merge_matrix, repfun.split_matrix, repfun._piece, repfun._local_rung_cols)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
+            for N in range(2, 6):
+                for a in range(N + 1):
+                    for b in range(N + 1 - a):
+                        # only merges of two nonempty words see the sign
+                        assert repfun._piece(a, b, N).certified == (a * b == 0), (a, b, N)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_qg_action_commutator_single_factor():
