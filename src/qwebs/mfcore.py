@@ -197,12 +197,17 @@ def shift_h(mf, t=1):
 
 
 def dual(mf):
-    """Reverse the arrows: rows (p, q) become (-q, p), shifts negate."""
+    """Dual over the ring of the declared boundary alphabets.
+
+    Rows (p, q) become (-q, p) and shifts negate; each internal variable x
+    adds one h-shift and deg x - N - 1 to the q-shift (CONVENTIONS.md).
+    """
     rows = tuple((-q, p, dq, dp) for p, q, dp, dq in mf.rows)
+    internals = _internal_vars(mf)
     return KoszulMF(
         mf.gr, rows, mf.N,
-        qshift=-mf.qshift,
-        hshift=mf.hshift,
+        qshift=-mf.qshift + sum(mf.gr.ring.degree_of(x) - mf.N - 1 for x in internals),
+        hshift=mf.hshift + len(internals),
         basemodule=tuple(-d for d in mf.basemodule),
         boundary={n: -s for n, s in mf.boundary.items()},
     )
@@ -702,14 +707,10 @@ def _certified_hilbert(ring, fs):
 def ext_qdim(a, b):
     """Graded dimensions of the EXT space between two compiled webs.
 
-    Returns a pair of Laurent polynomials, one per Z/2 homological degree.
-    Both inputs must carry the same declared boundary. The first argument
-    is contracted down to its boundary alphabets before taking the dual;
-    dualizing first and contracting later is not the same operation, it
-    picks up one h-shift and one q-shift per contracted row. The dual is
-    then glued onto the second argument and the glued factorization is
-    excluded down to a finite quotient. IrreducibleToFinite signals that
-    no finite answer exists along this route.
+    Returns one Laurent polynomial per Z/2 homological degree. Both inputs
+    must carry the same boundary. Both are contracted, the first one's dual
+    over the boundary ring is glued onto the second, and the result is
+    excluded to a finite quotient; IrreducibleToFinite means none was found.
     """
     if a.N != b.N:
         raise ValueError("different N")
@@ -719,12 +720,9 @@ def ext_qdim(a, b):
     b = exclude_variables(b)
     if a.is_zero_object() or b.is_zero_object():
         return (LaurentPoly.zero(), LaurentPoly.zero())
-    leftover = sorted(n for n in a.gr.names() if n not in a.boundary)
-    if leftover:
-        raise IrreducibleToFinite(
-            "internal alphabets survive contraction: " + ", ".join(leftover))
+    la = rename_alphabets(a, {n: f"L.{n}" for n in a.gr.names() if n not in a.boundary})
     rb = rename_alphabets(b, {n: f"R.{n}" for n in b.gr.names() if n not in b.boundary})
-    glued = tensor(dual(a), rb)
+    glued = tensor(dual(la), rb)
     if glued.boundary:
         raise ValueError("gluing left an open boundary")
     red = exclude_variables(glued)
@@ -745,7 +743,9 @@ def ext_qdim(a, b):
             qsh += (dq - dp) // 2
             fs.append(p)
         else:
-            raise IrreducibleToFinite("a row kept both entries nonzero")
+            used = [x for x, _ in red.gr.ring.gens if any(f.uses(x) for r in red.rows for f in r[:2])]
+            raise IrreducibleToFinite(f"a row kept both entries nonzero: {len(red.rows)} residual"
+                                      f" rows over {', '.join(used)}")
 
     hilbert = _certified_hilbert(red.gr.ring, fs)
     h0, h1 = hilbert, LaurentPoly.zero()

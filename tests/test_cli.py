@@ -9,6 +9,8 @@ import pytest
 import qwebs.cli as cli
 from qwebs.cli import run
 from qwebs.mfcore import IrreducibleToFinite
+from qwebs.repfun import web_form
+from qwebs.webs import Ladder
 
 WL = "N=2 m=2 base=[2,0] rungs=[]"
 FRUNG = "N=2 m=2 base=[2,0] rungs=[F1^1]"
@@ -161,17 +163,33 @@ def test_ext_dim_irreducible_exit(monkeypatch, capsys):
     assert "stuck" in capsys.readouterr().err
 
 
-def test_ext_dim_digon_pair_exits_3():
-    # exclude_variables must terminate here; a subprocess lets the timeout
-    # catch a loop
+def _ext_dim_subprocess(left, right):
+    # exclude_variables must terminate; a subprocess lets the timeout catch a
+    # loop
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "qwebs.cli", "ext-dim",
-         "N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]", "N=3 m=2 base=[3,0] rungs=[F1^2]"],
-        env=env, capture_output=True, text=True, timeout=20)
+    return subprocess.run([sys.executable, "-m", "qwebs.cli", "ext-dim", left, right],
+                          env=env, capture_output=True, text=True, timeout=20)
+
+
+def test_ext_dim_digon_pair_matches_form():
+    # the first web's internal digon alphabet survives its contraction
+    left = "N=3 m=2 base=[3,0] rungs=[F1^1, F1^1]"
+    right = "N=3 m=2 base=[3,0] rungs=[F1^2]"
+    done = _ext_dim_subprocess(left, right)
+    assert done.returncode == 0, done.stderr
+    form = web_form(Ladder.parse(left), Ladder.parse(right))
+    assert str(form) == "q^5 + 2q^3 + 2q + q^-1"
+    assert done.stdout == f"dim0: {form}\ndim1: 0\n"
+
+
+def test_ext_dim_residual_rows_exit_3():
+    done = _ext_dim_subprocess("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1, E1^1]",
+                               "N=3 m=2 base=[3,0] rungs=[F1^1]")
     assert done.returncode == 3, done.stderr
-    assert "internal alphabets survive contraction" in done.stderr
+    assert done.stdout == ""
+    assert "a row kept both entries nonzero: 3 residual rows over L.s4.1, L.s7.1, top.2.1" \
+        in done.stderr
 
 
 def test_unknown_subcommand(capsys):

@@ -29,3 +29,13 @@ def unused_imports(tree):
 def test_no_unused_imports(path):
     unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, ", ".join(f"line {line}: {name}" for line, name in unused)
+
+
+def test_init_exports_what_it_imports():
+    tree = ast.parse((ROOT / "src" / "qwebs" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    assert sorted(imported) == sorted(exported)

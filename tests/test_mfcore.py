@@ -8,7 +8,7 @@ import pytest
 
 from qwebs import mfcore
 from qwebs.qpoly import LaurentPoly
-from qwebs.webs import Ladder, Rung
+from qwebs.webs import Ladder, Rung, Zero
 from qwebs.mfcore import (
     GradedRing,
     IrreducibleToFinite,
@@ -229,9 +229,10 @@ def test_rename_matches_substitution_on_compiled_ladders():
 
 
 def test_rename_matches_substitution_on_ext_glue():
-    # the rename ext_qdim applies to its contracted second argument
+    # the renames ext_qdim applies to its contracted arguments
     for lad in _small_ladders():
         red = exclude_variables(compile_web(lad))
+        _relabel_checked(red, {n: f"L.{n}" for n in red.gr.names() if n not in red.boundary})
         _relabel_checked(red, {n: f"R.{n}" for n in red.gr.names() if n not in red.boundary})
     # an alphabet left with a sparse index set after exclusions
     gr = GradedRing([("a", (2, 3)), ("b", 1)])
@@ -339,26 +340,26 @@ def test_ext_boundary_mismatch():
 
 
 # exclude_variables must terminate on this digon-shaped pair, where a row
-# sweep returns its input unchanged. The call runs in a subprocess so that a
-# loop fails on the timeout instead of stalling the suite.
-DIGON_HANG = """
+# sweep returns its input unchanged and an internal alphabet of the first web
+# survives its contraction. The call runs in a subprocess so that a loop fails
+# on the timeout instead of stalling the suite.
+DIGON_PAIR = """
 import sys
-from qwebs.mfcore import IrreducibleToFinite, compile_web, ext_qdim
+from qwebs.mfcore import compile_web, ext_qdim
+from qwebs.repfun import web_form
 from qwebs.webs import Ladder, Rung
 u = Ladder(3, 2, (3, 0), [Rung(1, -1, 1), Rung(1, -1, 1)])
 v = Ladder(3, 2, (3, 0), [Rung(1, -1, 2)])
-try:
-    ext_qdim(compile_web(u), compile_web(v))
-except IrreducibleToFinite:
-    sys.exit(0)
-sys.exit("ext_qdim returned instead of raising IrreducibleToFinite")
+h0, h1 = ext_qdim(compile_web(u), compile_web(v))
+if h0 + h1 != web_form(u, v):
+    sys.exit(f"h0 + h1 = {h0 + h1}, form {web_form(u, v)}")
 """
 
 
 def test_exclusion_terminates_on_digon_pair():
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run([sys.executable, "-c", DIGON_HANG], env=env,
+    done = subprocess.run([sys.executable, "-c", DIGON_PAIR], env=env,
                           capture_output=True, text=True, timeout=20)
     assert done.returncode == 0, done.stderr
 
@@ -427,6 +428,44 @@ def test_ext_agrees_with_form_on_small_ladders():
         for u, v in product(group, repeat=2):
             h0, h1 = ext_qdim(compile_web(u), compile_web(v))
             assert h0 + h1 == web_form(u, v)
+
+
+def _n2m2_pairs():
+    """The 75 same-top pairs of N=2, m=2 ladders over (2, 0) with <= 3 rungs."""
+    lads = frontier = [Ladder(2, 2, (2, 0), [])]
+    for _ in range(3):
+        frontier = [ext for lad in frontier for sign in (1, -1) for a in (1, 2)
+                    if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
+        lads = lads + frontier
+    by_top = {}
+    for lad in lads:
+        by_top.setdefault(lad.top, []).append(lad)
+    return [(u, v) for group in by_top.values() for u, v in product(group, repeat=2)]
+
+
+def test_dual_commutes_with_exclusion(monkeypatch):
+    # gluing the uncontracted first web through dual gives the same EXT as
+    # ext_qdim, which contracts it first
+    pairs = _n2m2_pairs()
+    assert len(pairs) == 75
+    real = mfcore.exclude_variables
+    for u, v in pairs:
+        a, b = compile_web(u), compile_web(v)
+        want = ext_qdim(a, b)
+        with monkeypatch.context() as mp:
+            mp.setattr(mfcore, "exclude_variables", lambda mf: mf if mf is a else real(mf))
+            assert ext_qdim(a, b) == want, (str(u), str(v))
+
+
+def test_dual_is_an_involution_on_compiled_webs():
+    # twice (p, q) -> (-q, p) is (-p, -q): the same factorization with its
+    # odd generator negated; the internal shifts cancel
+    for lad in _small_ladders():
+        mf = compile_web(lad)
+        negated = KoszulMF(mf.gr, [(-p, -q, dp, dq) for p, q, dp, dq in mf.rows], mf.N,
+                           qshift=mf.qshift, hshift=mf.hshift, basemodule=mf.basemodule,
+                           boundary=mf.boundary)
+        assert dual(dual(mf)) == negated, str(lad)
 
 
 def test_dump_deterministic():
