@@ -1,11 +1,12 @@
 """Diagrammatic relations: verification against the functor, and a simplifier.
 
 Every relation here is an equality of linear combinations of ladders that
-the evaluation functor must respect. verify_relation builds both sides and
-compares their matrices, so a passing sweep certifies the diagram calculus
-and the representation side against each other. Once every merge and split
-piece on both sides is certified as an intertwiner, the matrices are
-compared only on the columns that generate the source as a module.
+the evaluation functor must respect. Each instance is data, a few (base,
+lhs, rhs) comparisons of (coefficient, rung list) sides; verify_relation
+pushes the rung lists through the functor, so a passing sweep certifies the
+diagram calculus and the representation side against each other. Once every
+merge and split piece on both sides is certified as an intertwiner, the
+images are compared only on the columns that generate the source as a module.
 
 The five rules:
 
@@ -27,15 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qpoly import LaurentPoly, qbinom, qbinom_ext
-from .webs import (
-    GlWeight,
-    Ladder,
-    Rung,
-    WebLinComb,
-    Zero,
-    highest_weight_ladder,
-    make_ladder,
-)
+from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, apply_rung, highest_weight_ladder
 from .repfun import _maps_agree, web_form
 
 RULES = ("digon", "opposite-digon", "associativity", "parallel-square", "opposite-square")
@@ -71,126 +64,94 @@ class RelationInstance:
 
 def _board(position, pair_labels):
     """Base weight for a local relation: zeros away from the active uprights."""
-    m = position + len(pair_labels) - 1
-    base = [0] * (m + 1)
+    base = [0] * (position + len(pair_labels))
     for off, v in enumerate(pair_labels):
         base[position - 1 + off] = v
-    return m + 1, GlWeight(base)
+    return GlWeight(base)
 
 
-def _comb(N, m, base, rung_lists_with_coeffs):
-    """Assemble a WebLinComb from (coeff, rung list) pairs, dropping Zeros."""
-    terms = {}
-    top = None
-    for coeff, rungs in rung_lists_with_coeffs:
-        lad = make_ladder(N, m, base, rungs)
-        if lad is Zero:
-            continue
-        if top is None:
-            top = lad.top
-        terms[lad] = terms.get(lad, LaurentPoly.zero()) + coeff
-    if top is None:
-        return None
-    return WebLinComb(N, m, base, top, terms)
+def _sides_equal(N, base, lhs, rhs):
+    """Compare two (coeff, rungs) lists through the functor.
 
-
-def _sides_equal(N, m, base, lhs, rhs):
-    """Compare two (coeff, rungs) lists through the functor."""
-    a = _comb(N, m, base, lhs)
-    b = _comb(N, m, base, rhs)
-    if a is None and b is None:
+    A rung list whose slice leaves [0, N] is the zero web and drops out; the
+    surviving lists must all end on one weight.
+    """
+    if not GlWeight(base).valid(N):
         return True
-    if a is not None and b is not None and tuple(a.top) != tuple(b.top):
-        return False
-    # a side that died entirely is the zero map
-    sides = [[] if w is None else [(c, lad.rungs) for lad, c in w.items()] for w in (a, b)]
-    return _maps_agree(N, base, *sides)
+    tops = set()
+    sides = ([], [])
+    for side, terms in zip(sides, (lhs, rhs)):
+        for coeff, rungs in terms:
+            k = base
+            for r in rungs:
+                k = apply_rung(k, r, N)
+                if k is Zero:
+                    break
+            else:
+                tops.add(k)
+                side.append((coeff, rungs))
+    return len(tops) <= 1 and _maps_agree(N, base, *sides)
 
 
-def verify_relation(inst, N):
-    """Check one relation instance against the functor. Out-of-range labels
-    make the instance vacuous and return True."""
+def _relation_sides(inst, N):
+    """The (base, lhs, rhs) comparisons of one instance; none when its labels
+    are out of range, since the instance is then vacuous."""
     pos = inst.position
     one = LaurentPoly.one()
 
     if inst.rule in ("digon", "opposite-digon"):
         a, b = inst.labels
         if b < 1 or a < 0:
-            return True
+            return
         outer = a + b if inst.rule == "digon" else N - a
         if outer > N or b > outer:
-            return True
+            return
         coeff = qbinom(outer, b) if inst.rule == "opposite-digon" else qbinom(a + b, a)
-        ok = True
         # loop on the right of the main upright
-        m, base = _board(pos, (outer, 0))
-        ok &= _sides_equal(
-            N, m, base,
-            [(one, [Rung(pos, -1, b), Rung(pos, 1, b)])],
-            [(coeff, [])],
-        )
+        yield (_board(pos, (outer, 0)),
+               [(one, [Rung(pos, -1, b), Rung(pos, 1, b)])],
+               [(coeff, [])])
         # mirror: loop on the left
-        m, base = _board(pos, (0, outer))
-        ok &= _sides_equal(
-            N, m, base,
-            [(one, [Rung(pos, 1, b), Rung(pos, -1, b)])],
-            [(coeff, [])],
-        )
-        return bool(ok)
+        yield (_board(pos, (0, outer)),
+               [(one, [Rung(pos, 1, b), Rung(pos, -1, b)])],
+               [(coeff, [])])
 
-    if inst.rule == "associativity":
+    elif inst.rule == "associativity":
         a, b, c = inst.labels
         if min(a, b, c) < 1 or a + b + c > N:
-            return True
-        m, base = _board(pos, (a, b, c))
-        ok = _sides_equal(
-            N, m, base,
-            [(one, [Rung(pos, 1, b), Rung(pos + 1, 1, c), Rung(pos, 1, c)])],
-            [(one, [Rung(pos + 1, 1, c), Rung(pos, 1, b + c)])],
-        )
+            return
+        yield (_board(pos, (a, b, c)),
+               [(one, [Rung(pos, 1, b), Rung(pos + 1, 1, c), Rung(pos, 1, c)])],
+               [(one, [Rung(pos + 1, 1, c), Rung(pos, 1, b + c)])])
         # co-associativity: the two ways of splitting back down
-        m, base = _board(pos, (a + b + c, 0, 0))
-        ok &= _sides_equal(
-            N, m, base,
-            [(one, [Rung(pos, -1, c), Rung(pos + 1, -1, c), Rung(pos, -1, b)])],
-            [(one, [Rung(pos, -1, b + c), Rung(pos + 1, -1, c)])],
-        )
-        return bool(ok)
+        yield (_board(pos, (a + b + c, 0, 0)),
+               [(one, [Rung(pos, -1, c), Rung(pos + 1, -1, c), Rung(pos, -1, b)])],
+               [(one, [Rung(pos, -1, b + c), Rung(pos + 1, -1, c)])])
 
-    if inst.rule == "parallel-square":
+    elif inst.rule == "parallel-square":
         a, b, s, t = inst.labels
         if s < 1 or t < 1:
-            return True
+            return
         coeff = qbinom(s + t, t)
-        ok = True
         if a - s - t >= 0 and b + s + t <= N and a <= N and b >= 0:
-            m, base = _board(pos, (a, b))
-            ok &= _sides_equal(
-                N, m, base,
-                [(one, [Rung(pos, -1, s), Rung(pos, -1, t)])],
-                [(coeff, [Rung(pos, -1, s + t)])],
-            )
+            yield (_board(pos, (a, b)),
+                   [(one, [Rung(pos, -1, s), Rung(pos, -1, t)])],
+                   [(coeff, [Rung(pos, -1, s + t)])])
         if a + s + t <= N and b - s - t >= 0:
-            m, base = _board(pos, (a, b))
-            ok &= _sides_equal(
-                N, m, base,
-                [(one, [Rung(pos, 1, s), Rung(pos, 1, t)])],
-                [(coeff, [Rung(pos, 1, s + t)])],
-            )
-        return bool(ok)
+            yield (_board(pos, (a, b)),
+                   [(one, [Rung(pos, 1, s), Rung(pos, 1, t)])],
+                   [(coeff, [Rung(pos, 1, s + t)])])
 
-    if inst.rule == "opposite-square":
+    elif inst.rule == "opposite-square":
         a, b, s, t = inst.labels
         if s < 1 or t < 1:
-            return True
+            return
 
         def rungs_or_none(*specs):
             return [Rung(p, sg, th) for p, sg, th in specs if th > 0]
 
-        ok = True
         # F(s) then E(t) against sum of E(t-r) then F(s-r)
         if 0 <= a - s and b + s <= N and a - s + t <= N and 0 <= b + s - t:
-            m, base = _board(pos, (a, b))
             lhs = [(one, rungs_or_none((pos, -1, s), (pos, 1, t)))]
             rhs = []
             for r in range(0, min(s, t) + 1):
@@ -198,10 +159,9 @@ def verify_relation(inst, N):
                 if c.is_zero():
                     continue
                 rhs.append((c, rungs_or_none((pos, 1, t - r), (pos, -1, s - r))))
-            ok &= _sides_equal(N, m, base, lhs, rhs)
+            yield _board(pos, (a, b)), lhs, rhs
         # mirror: E(s) then F(t) against sum of F(t-r) then E(s-r)
         if a + s <= N and 0 <= b - s and 0 <= a + s - t and b - s + t <= N:
-            m, base = _board(pos, (a, b))
             lhs = [(one, rungs_or_none((pos, 1, s), (pos, -1, t)))]
             rhs = []
             for r in range(0, min(s, t) + 1):
@@ -209,14 +169,22 @@ def verify_relation(inst, N):
                 if c.is_zero():
                     continue
                 rhs.append((c, rungs_or_none((pos, -1, t - r), (pos, 1, s - r))))
-            ok &= _sides_equal(N, m, base, lhs, rhs)
-        return bool(ok)
+            yield _board(pos, (a, b)), lhs, rhs
 
-    raise ValueError(f"unknown rule {inst.rule!r}")
+    else:
+        raise ValueError(f"unknown rule {inst.rule!r}")
+
+
+def verify_relation(inst, N):
+    """Check one relation instance against the functor. Out-of-range labels
+    make the instance vacuous and return True."""
+    return all(_sides_equal(N, *sides) for sides in _relation_sides(inst, N))
 
 
 def relation_instances(N, rules=None):
     """All admissible instances with labels bounded by N, deterministic order."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     rules = tuple(rules) if rules else RULES
     out = []
     for rule in rules:

@@ -117,6 +117,12 @@ def test_verify_relations_unknown_rule(capsys):
     assert "unknown rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_verify_relations_small_n(capsys, n):
+    assert run(["verify-relations", f"N={n}"]) == 1
+    assert "need N >= 2" in capsys.readouterr().err
+
+
 def test_verify_relations_fail_exit(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_report",
                         lambda N, rules=None: ["digon a=1 b=1 N=2 FAIL"])

@@ -39,3 +39,20 @@ def test_init_exports_what_it_imports():
                    if isinstance(node, ast.Assign)
                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
     assert sorted(imported) == sorted(exported)
+
+
+def test_private_helpers_have_library_callers():
+    # a private helper that only tests call belongs in tests/, not the library
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src" / "qwebs").glob("*.py"))]
+    helpers = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")}
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert helpers
+    assert sorted(helpers - loaded) == []

@@ -4,7 +4,7 @@ from math import comb, prod
 import pytest
 
 from qwebs.qpoly import LaurentPoly, qbinom, qint
-from qwebs.webs import Ladder, Rung, WebLinComb, Zero
+from qwebs.webs import Ladder, Rung, WebLinComb, Zero, make_ladder
 from qwebs.relations import (
     NegativeCoefficient,
     RelationInstance,
@@ -51,6 +51,8 @@ def test_out_of_range_is_vacuous():
     assert verify_relation(RelationInstance("opposite-digon", (2, 2)), 3)
     assert verify_relation(RelationInstance("associativity", (1, 1, 1)), 2)
     assert verify_relation(RelationInstance("parallel-square", (0, 0, 5, 5)), 2)
+    # a base weight off [0, N]: every rung list starts as the zero web
+    assert verify_relation(RelationInstance("parallel-square", (-1, 2, 1, 1)), 2)
 
 
 def test_instance_enumeration_small():
@@ -93,10 +95,26 @@ def test_sweep_fails_under_wrong_wedge_sign(monkeypatch):
 PIECE_CACHES = (repfun.merge_matrix, repfun.split_matrix, repfun._piece, repfun._local_rung_cols)
 
 
-def _full_sides_equal(N, m, base, lhs, rhs):
+def _comb(N, base, terms):
+    """The WebLinComb of (coeff, rungs) pairs, Zeros dropped; None if all die."""
+    out = {}
+    top = None
+    for coeff, rungs in terms:
+        lad = make_ladder(N, len(base), base, rungs)
+        if lad is Zero:
+            continue
+        if top is None:
+            top = lad.top
+        out[lad] = out.get(lad, LaurentPoly.zero()) + coeff
+    if top is None:
+        return None
+    return WebLinComb(N, len(base), base, top, out)
+
+
+def _full_sides_equal(N, base, lhs, rhs):
     """Both sides compared as full matrices, every basis column pushed."""
-    a = relations._comb(N, m, base, lhs)
-    b = relations._comb(N, m, base, rhs)
+    a = _comb(N, base, lhs)
+    b = _comb(N, base, rhs)
     if a is None and b is None:
         return True
     if a is None or b is None:
@@ -107,7 +125,7 @@ def _full_sides_equal(N, m, base, lhs, rhs):
 
 
 def _recorded_sides(monkeypatch, N):
-    """verify_report(N) and every (N, m, base, lhs, rhs) it compared."""
+    """verify_report(N) and every (N, base, lhs, rhs) it compared."""
     seen = []
     real = relations._sides_equal
 
@@ -133,7 +151,7 @@ def test_generating_columns_match_full_check(monkeypatch, N):
     assert lines == _full_report(monkeypatch, N)
     assert seen
     for args in seen:
-        _, m, base, lhs, rhs = args
+        _, base, lhs, rhs = args
         assert relations._sides_equal(*args) == _full_sides_equal(*args), args
         elems = repfun._generating_elements(N, base)
         ks = [k for k in base if k]
@@ -142,7 +160,7 @@ def test_generating_columns_match_full_check(monkeypatch, N):
         pos = {elem: ci for ci, elem in enumerate(elems)}
         assert set(elems) <= set(src.elements)
         for side in (lhs, rhs):
-            w = relations._comb(N, m, base, side)
+            w = _comb(N, base, side)
             if w is None:
                 continue
             terms = [(c, lad.rungs) for lad, c in w.items()]
@@ -153,6 +171,24 @@ def test_generating_columns_match_full_check(monkeypatch, N):
                     for (r, c), v in lincomb_matrix(w).entries().items()
                     if src.elements[c] in pos}
             assert repfun._images(N, base, terms, elems) == want, (base, side)
+
+
+F3 = (Rung(1, -1, 3),)
+F1 = (Rung(1, -1, 1),)
+
+
+@pytest.mark.parametrize("lhs, rhs, want", [
+    ([(LaurentPoly.one(), F3)], [], True),
+    ([(LaurentPoly.one(), F3)], [(LaurentPoly.one(), ())], False),
+    ([(LaurentPoly.one(), F1)], [(LaurentPoly.one(), ())], False),
+    ([(qint(2), F1), (-qint(2), F1)], [], True),
+    ([(LaurentPoly.zero(), F1)], [(qint(2), ()), (-qint(2), ())], False),
+], ids=["both-die", "one-dies", "different-tops", "cancel", "zero-vs-cancel"])
+def test_sides_equal_edge_cases(lhs, rhs, want):
+    # dead rung lists, cancelling terms, and sides that end on different
+    # weights, against the ladder-building oracle
+    assert relations._sides_equal(2, (2, 0), lhs, rhs) == want
+    assert _full_sides_equal(2, (2, 0), lhs, rhs) == want
 
 
 def _scaled_split(real):
