@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from operator import add
 
 from ._linalg import fraction_rank
 from .qpoly import LaurentPoly, MultiPoly, NonExactDivision, PolyRing, power_sum_in_e
@@ -82,9 +83,6 @@ class GradedRing:
             (n, tuple(i for i in idx if not (n == alph and i == j)))
             for n, idx in self.alphabets
         )
-
-    def renamed(self, mapping):
-        return GradedRing((mapping.get(n, n), idx) for n, idx in self.alphabets)
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self.alphabets == other.alphabets
@@ -165,10 +163,14 @@ class KoszulMF:
         return not self.basemodule
 
     def potential(self):
-        W = self.gr.ring.zero()
+        """The sum of p*q over the rows, accumulated in one exponent dict."""
+        W = {}
         for p, q, _, _ in self.rows:
-            W = W + p * q
-        return W
+            for e1, v1 in p._t.items():
+                for e2, v2 in q._t.items():
+                    e = tuple(map(add, e1, e2))
+                    W[e] = W.get(e, 0) + v1 * v2
+        return MultiPoly._raw(self.gr.ring, W)
 
     def __eq__(self, other):
         if not isinstance(other, KoszulMF):
@@ -216,20 +218,11 @@ def dual(mf):
 def rename_alphabets(mf, mapping):
     """Rename alphabets; variable indices, degrees and row order are kept.
 
-    Relabelling is exact: GradedRing.renamed keeps the order of the
-    alphabets and of their indices, so generator i of the renamed ring has
-    the degree of generator i of the old one and every row's exponent dict
-    means the same monomials there, with no substitution.
+    This is _glue on one factor: each row is relabelled, not substituted.
+    Names in mapping that mf does not carry are ignored.
     """
-    new_names = [mapping.get(n, n) for n in mf.gr.names()]
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("alphabet rename collides")
-    gr = mf.gr.renamed(mapping)
-    rows = tuple((MultiPoly._raw(gr.ring, p._t), MultiPoly._raw(gr.ring, q._t), dp, dq)
-                 for p, q, dp, dq in mf.rows)
-    boundary = {mapping.get(n, n): s for n, s in mf.boundary.items()}
-    return KoszulMF(gr, rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
-                    basemodule=mf.basemodule, boundary=boundary)
+    names = mf.gr.names()
+    return _glue([(mf, {n: m for n, m in mapping.items() if n in names})], mf.N)
 
 
 def tensor(a, b):
@@ -242,25 +235,66 @@ def tensor_all(factors, N):
 
     Alphabets with the same name glue, in first-seen order; a name carried
     with different index sets is a collision and raises, as does a factor
-    whose N differs. The amalgamated ring is built once and each factor's
-    rows are converted into it once. Boundary signs add, so a face shared
+    whose N differs. Each row is relabelled once, straight into the
+    amalgamated ring, and checked once. Boundary signs add, so a face shared
     with opposite orientations disappears from the declared boundary.
     """
+    return _glue([(f, {}) for f in factors], N)
+
+
+def _index_map(alphabets, renames, ring):
+    """Position in ring of each generator of alphabets, named through renames."""
+    return [ring.index(f"{renames.get(n, n)}.{j}") for n, idx in alphabets for j in idx]
+
+
+def _relabel(terms, pos, width):
+    """Exponent dict moved into a ring of the given width by an index map."""
+    out = {}
+    for exps, v in terms.items():
+        e = [0] * width
+        for i, x in zip(pos, exps):
+            e[i] = x
+        out[tuple(e)] = v
+    return out
+
+
+def _glue(placed, N):
+    """Tensor product of (factorization, alphabet renames) pairs.
+
+    Renaming is relabelling: generator j of alphabet n becomes generator j
+    of renames.get(n, n), with the same degree. The amalgamated ring is built
+    once, each factor's rows are relabelled into it through one index map,
+    and the result is checked once, by KoszulMF. Raises ValueError on a
+    factor whose N differs, on one whose renames send two names to one, and
+    on an alphabet carried with different index sets.
+    """
     alphs = {}
-    for f in factors:
+    for f, renames in placed:
         if f.N != N:
             raise ValueError("cannot tensor factorizations with different N")
+        # every given name counts, also one whose alphabet was pruned as empty
+        seen = set()
+        for name in {**{n: n for n in f.gr.names()}, **renames}.values():
+            if name in seen:
+                raise ValueError(f"duplicate alphabet {name}")
+            seen.add(name)
         for name, idx in f.gr.alphabets:
+            name = renames.get(name, name)
             if alphs.setdefault(name, idx) != idx:
                 raise ValueError(f"alphabet size collision on {name}")
     gr = GradedRing(alphs.items())
+    ring, width = gr.ring, len(gr.ring)
     rows = []
     boundary = {}
     qshift = hshift = 0
     base = (0,)
-    for f in factors:
-        rows.extend((p.convert(gr.ring), q.convert(gr.ring), dp, dq) for p, q, dp, dq in f.rows)
+    for f, renames in placed:
+        pos = _index_map(f.gr.alphabets, renames, ring)
+        rows.extend((MultiPoly._raw(ring, _relabel(p._t, pos, width)),
+                     MultiPoly._raw(ring, _relabel(q._t, pos, width)), dp, dq)
+                    for p, q, dp, dq in f.rows)
         for name, sign in f.boundary.items():
+            name = renames.get(name, name)
             boundary[name] = boundary.get(name, 0) + sign
         qshift += f.qshift
         hshift += f.hshift
@@ -339,27 +373,12 @@ def _piece(kind, k1, k2, N):
                     qshift=-k1 * k2 if kind == "merge" else 0, boundary=boundary)
 
 
-def _named(kind, k1, k2, N, names):
-    """The cached piece with its default alphabet names mapped by names.
-
-    Every given name is checked, also one whose strand has thickness zero
-    and so is pruned from the ring: a piece built under those names would
-    have refused a duplicate.
-    """
-    seen = set()
-    for name in names.values():
-        if name in seen:
-            raise ValueError(f"duplicate alphabet {name}")
-        seen.add(name)
-    return rename_alphabets(_piece(kind, k1, k2, N), names)
-
-
 def mf_edge(k, N, top="top", bot="bot"):
     """Identity strand of thickness k between alphabets bot and top.
 
     This is the merge of k with 0, the empty alphabet having been pruned.
     """
-    return _named("merge", k, 0, N, {"top": top, "bot1": bot})
+    return _glue([(_piece("merge", k, 0, N), {"top": top, "bot1": bot})], N)
 
 
 def mf_merge(k1, k2, N, top="top", bot1="bot1", bot2="bot2"):
@@ -368,12 +387,12 @@ def mf_merge(k1, k2, N, top="top", bot1="bot1", bot2="bot2"):
     Carries the q-shift -k1*k2. With either input thickness zero this is
     row-identical to mf_edge, the empty alphabet having been pruned.
     """
-    return _named("merge", k1, k2, N, {"top": top, "bot1": bot1, "bot2": bot2})
+    return _glue([(_piece("merge", k1, k2, N), {"top": top, "bot1": bot1, "bot2": bot2})], N)
 
 
 def mf_split(k1, k2, N, top1="top1", top2="top2", bot="bot"):
     """Break a strand of thickness k1 + k2 into strands k1 and k2. No shift."""
-    return _named("split", k1, k2, N, {"top1": top1, "top2": top2, "bot": bot})
+    return _glue([(_piece("split", k1, k2, N), {"top1": top1, "top2": top2, "bot": bot})], N)
 
 
 # ------------------------------------------------------------- compiling
@@ -385,7 +404,9 @@ def compile_web(u):
     Boundary alphabets are bot.i and top.i, numbered from 1 on the left and
     pruned when the strand there has thickness zero. Internal alphabets get
     fresh names s1, s2, ... in the order the rung layers create them, so the
-    output is deterministic for a given ladder.
+    output is deterministic for a given ladder. Each cached merge or split
+    piece is relabelled once, straight into the web's ring, and every row is
+    checked once, on the way out.
     """
     if not isinstance(u, Ladder):
         raise TypeError("compile_web expects a single ladder")
@@ -393,7 +414,10 @@ def compile_web(u):
     k = list(u.base)
     seg = [f"bot.{i + 1}" for i in range(m)]
     fresh = count(1)
-    factors = []
+    placed = []
+
+    def place(kind, k1, k2, **names):
+        placed.append((_piece(kind, k1, k2, N), names))
     for rung in u.rungs:
         i = rung.pos - 1
         a = rung.thickness
@@ -402,35 +426,38 @@ def compile_web(u):
             jname = f"s{next(fresh)}"
             rname = f"s{next(fresh)}"
             lname = f"s{next(fresh)}"
-            factors.append(mf_split(a, k2 - a, N, top1=jname, top2=rname, bot=seg[i + 1]))
-            factors.append(mf_merge(a, k1, N, top=lname, bot1=jname, bot2=seg[i]))
+            place("split", a, k2 - a, top1=jname, top2=rname, bot=seg[i + 1])
+            place("merge", a, k1, top=lname, bot1=jname, bot2=seg[i])
             seg[i], seg[i + 1] = lname, rname
             k[i], k[i + 1] = k1 + a, k2 - a
         else:
             jname = f"s{next(fresh)}"
             lname = f"s{next(fresh)}"
             rname = f"s{next(fresh)}"
-            factors.append(mf_split(k1 - a, a, N, top1=lname, top2=jname, bot=seg[i]))
-            factors.append(mf_merge(k2, a, N, top=rname, bot1=seg[i + 1], bot2=jname))
+            place("split", k1 - a, a, top1=lname, top2=jname, bot=seg[i])
+            place("merge", k2, a, top=rname, bot1=seg[i + 1], bot2=jname)
             seg[i], seg[i + 1] = lname, rname
             k[i], k[i + 1] = k1 - a, k2 + a
     for i in range(m):
         if k[i]:
-            factors.append(mf_edge(k[i], N, top=f"top.{i + 1}", bot=seg[i]))
-    return tensor_all(factors, N)
+            place("merge", k[i], 0, top=f"top.{i + 1}", bot1=seg[i])
+    return _glue(placed, N)
 
 
 def check_potential(mf):
-    """Does the sum of p*q match the declared boundary potential?"""
-    declared = mf.gr.ring.zero()
+    """Does the sum of p*q match the declared boundary potential? Each
+    alphabet's power sum is the cached one over e1..ek, relabelled."""
+    ring = mf.gr.ring
+    declared = {}
     for name, sign in mf.boundary.items():
         idx = mf.gr.indices(name)
         k = len(idx)
         if idx != tuple(range(1, k + 1)):
             raise ValueError(f"boundary alphabet {name} is not contiguous")
-        slots = [mf.gr.var(name, j) for j in range(1, k + 1)]
-        declared = declared + sign * _p_at_slots(mf.gr, mf.N, slots)
-    return mf.potential() == declared
+        pos = _index_map([(name, idx)], {}, ring)
+        for e, v in _relabel(_power_sum(mf.N + 1, k)._t, pos, len(ring)).items():
+            declared[e] = declared.get(e, 0) + sign * v
+    return mf.potential() == MultiPoly._raw(ring, declared)
 
 
 # ------------------------------------------------------------- exclusion
@@ -720,9 +747,9 @@ def ext_qdim(a, b):
     b = exclude_variables(b)
     if a.is_zero_object() or b.is_zero_object():
         return (LaurentPoly.zero(), LaurentPoly.zero())
-    la = rename_alphabets(a, {n: f"L.{n}" for n in a.gr.names() if n not in a.boundary})
-    rb = rename_alphabets(b, {n: f"R.{n}" for n in b.gr.names() if n not in b.boundary})
-    glued = tensor(dual(la), rb)
+    # renaming internal alphabets only commutes with dual
+    glued = _glue([(dual(a), {n: f"L.{n}" for n in a.gr.names() if n not in a.boundary}),
+                   (b, {n: f"R.{n}" for n in b.gr.names() if n not in b.boundary})], a.N)
     if glued.boundary:
         raise ValueError("gluing left an open boundary")
     red = exclude_variables(glued)

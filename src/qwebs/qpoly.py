@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 class NonExactDivision(ArithmeticError):
@@ -281,7 +282,7 @@ def qbinom_ext(n, r):
 class PolyRing:
     """Ordered ring of named generators, each with an even positive degree."""
 
-    __slots__ = ("gens", "_index")
+    __slots__ = ("gens", "_index", "_names", "_degs")
 
     def __init__(self, gens):
         seen = set()
@@ -297,9 +298,11 @@ class PolyRing:
             out.append((name, deg))
         self.gens = tuple(out)
         self._index = {name: i for i, (name, _) in enumerate(self.gens)}
+        self._names = tuple(name for name, _ in self.gens)
+        self._degs = tuple(deg for _, deg in self.gens)
 
     def names(self):
-        return tuple(name for name, _ in self.gens)
+        return self._names
 
     def degree_of(self, name):
         return self.gens[self._index[name]][1]
@@ -338,7 +341,7 @@ class PolyRing:
         return MultiPoly(self, {tuple(e): 1})
 
     def monomial_degree(self, exps):
-        return sum(e * d for e, (_, d) in zip(exps, self.gens))
+        return sum(map(mul, exps, self._degs))
 
 
 class MultiPoly:

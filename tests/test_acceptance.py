@@ -403,7 +403,7 @@ def test_criterion_08_mf_potentials():
                             bad.append(("compiled", N, str(lad)))
         return bad
 
-    _run(8, "factorization potentials", body, budget=90)
+    _run(8, "factorization potentials", body, budget=30)
 
 
 def enumerate_all_bases(m, N):

@@ -1,18 +1,20 @@
 import os
 import subprocess
 import sys
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import pytest
 
 from qwebs import mfcore
-from qwebs.qpoly import LaurentPoly
+from qwebs.qpoly import LaurentPoly, MultiPoly
 from qwebs.webs import Ladder, Rung, Zero
 from qwebs.mfcore import (
     GradedRing,
     IrreducibleToFinite,
     KoszulMF,
+    _glue,
+    _p_at_slots,
     _piece,
     check_potential,
     compile_web,
@@ -28,6 +30,7 @@ from qwebs.mfcore import (
     shift_h,
     shift_q,
     tensor,
+    tensor_all,
 )
 
 
@@ -129,6 +132,10 @@ def test_tensor_glues_and_collides():
         tensor(mf_edge(1, 2, top="x", bot="y"), mf_edge(2, 2, top="x", bot="z"))
     with pytest.raises(ValueError):
         tensor(mf_edge(1, 2, top="x", bot="y"), mf_edge(1, 3, top="z", bot="x"))
+    with pytest.raises(ValueError, match="size collision"):
+        tensor_all([mf_edge(1, 2, top="x", bot="y"), mf_edge(2, 2, top="x", bot="z")], 2)
+    with pytest.raises(ValueError, match="different N"):
+        tensor_all([mf_edge(1, 2, top="x", bot="y"), mf_edge(1, 3, top="z", bot="x")], 2)
     e = mf_edge(1, 2)
     assert tensor(dual(e), e).potential().is_zero()
 
@@ -152,6 +159,10 @@ def test_rename_alphabets():
     assert r.gr.names() == ("t", "inner")
     assert r.boundary == {"t": 1, "inner": -1}
     assert check_potential(r)
+    # a name the factorization does not carry is ignored, a collision raises
+    assert rename_alphabets(e, {"x": "t", "b": "inner"}) == r
+    with pytest.raises(ValueError, match="duplicate alphabet t"):
+        rename_alphabets(e, {"b": "t"})
 
 
 @pytest.mark.parametrize("build", [
@@ -171,7 +182,7 @@ def test_piece_duplicate_names_raise(build):
 
 def _rename_by_substitution(mf, mapping):
     """Reference rename: substitute each moved variable by its new name."""
-    gr = mf.gr.renamed(mapping)
+    gr = GradedRing((mapping.get(n, n), idx) for n, idx in mf.gr.alphabets)
     moved = {f"{n}.{j}": gr.var(mapping[n], j)
              for n, idx in mf.gr.alphabets if n in mapping for j in idx}
     rows = tuple((p.substitute(moved, gr.ring), q.substitute(moved, gr.ring), dp, dq)
@@ -239,6 +250,196 @@ def test_rename_matches_substitution_on_ext_glue():
     mf = KoszulMF(gr, [(gr.var("a", 3), gr.var("a", 2) + gr.var("b", 1) ** 2)], 4,
                   boundary={"b": 1})
     assert _relabel_checked(mf, {"a": "R.a"}).gr.indices("R.a") == (2, 3)
+
+
+# ------------------------------------------ the two-pass route as oracle
+
+
+def _tensor_by_convert(factors, N):
+    """Reference tensor: convert every row into the amalgamated ring by name."""
+    alphs = {}
+    for f in factors:
+        assert f.N == N
+        for name, idx in f.gr.alphabets:
+            assert alphs.setdefault(name, idx) == idx
+    gr = GradedRing(alphs.items())
+    rows, boundary, qshift, hshift, base = [], {}, 0, 0, (0,)
+    for f in factors:
+        rows.extend((p.convert(gr.ring), q.convert(gr.ring), dp, dq) for p, q, dp, dq in f.rows)
+        for name, sign in f.boundary.items():
+            boundary[name] = boundary.get(name, 0) + sign
+        qshift += f.qshift
+        hshift += f.hshift
+        base = tuple(d + e for d in base for e in f.basemodule)
+    return KoszulMF(gr, rows, N, qshift=qshift, hshift=hshift, basemodule=base,
+                    boundary=boundary)
+
+
+def _compile_by_pieces(u):
+    """Reference compile: substitute each piece into its own checked ring, then
+    convert every row into the amalgamated ring."""
+    N, k, fresh = u.N, list(u.base), count(1)
+    seg = [f"bot.{i + 1}" for i in range(u.m)]
+    factors = []
+    for rung in u.rungs:
+        i, a = rung.pos - 1, rung.thickness
+        k1, k2 = k[i], k[i + 1]
+        if rung.sign == 1:
+            j, r, l = (f"s{next(fresh)}" for _ in range(3))
+            factors.append(_rename_by_substitution(_piece("split", a, k2 - a, N),
+                                                   {"top1": j, "top2": r, "bot": seg[i + 1]}))
+            factors.append(_rename_by_substitution(_piece("merge", a, k1, N),
+                                                   {"top": l, "bot1": j, "bot2": seg[i]}))
+            k[i], k[i + 1] = k1 + a, k2 - a
+        else:
+            j, l, r = (f"s{next(fresh)}" for _ in range(3))
+            factors.append(_rename_by_substitution(_piece("split", k1 - a, a, N),
+                                                   {"top1": l, "top2": j, "bot": seg[i]}))
+            factors.append(_rename_by_substitution(_piece("merge", k2, a, N),
+                                                   {"top": r, "bot1": seg[i + 1], "bot2": j}))
+            k[i], k[i + 1] = k1 - a, k2 + a
+        seg[i], seg[i + 1] = l, r
+    for i in range(u.m):
+        if k[i]:
+            factors.append(_rename_by_substitution(_piece("merge", k[i], 0, N),
+                                                   {"top": f"top.{i + 1}", "bot1": seg[i]}))
+    return _tensor_by_convert(factors, N)
+
+
+def _check_potential_by_substitution(mf):
+    """Reference check: substitute each boundary alphabet into the power sum
+    and multiply every row out."""
+    declared = W = mf.gr.ring.zero()
+    for name, sign in mf.boundary.items():
+        slots = [mf.gr.var(name, j) for j in mf.gr.indices(name)]
+        declared = declared + sign * _p_at_slots(mf.gr, mf.N, slots)
+    for p, q, _, _ in mf.rows:
+        W = W + p * q
+    return W == declared
+
+
+@pytest.fixture(scope="module")
+def criterion_08_ladders():
+    """Criterion 08's 6,049 ladders, in its order."""
+    out = []
+    for N in (2, 3):
+        for m in (1, 2, 3):
+            for base in product(range(N + 1), repeat=m):
+                frontier = [Ladder(N, m, base)]
+                out.extend(frontier)
+                for _ in range(3):
+                    frontier = [ext for lad in frontier for pos in range(1, m)
+                                for sign in (1, -1) for a in range(1, N + 1)
+                                if (ext := lad.with_rung(Rung(pos, sign, a))) is not Zero]
+                    out.extend(frontier)
+    assert len(out) == 6049
+    return out
+
+
+def test_compile_matches_two_pass_route(criterion_08_ladders):
+    for lad in criterion_08_ladders[::7]:
+        mf = compile_web(lad)
+        assert mf == _compile_by_pieces(lad), str(lad)
+        assert check_potential(mf) and _check_potential_by_substitution(mf), str(lad)
+
+
+def test_compile_copies_and_checks_once(monkeypatch):
+    lad = Ladder(3, 3, (2, 1, 1), [Rung(1, -1, 1), Rung(2, 1, 1)])
+    want = compile_web(lad)  # warms the piece cache
+    inits = []
+    real_init = KoszulMF.__init__
+
+    def counted(self, *args, **kw):
+        inits.append(1)
+        real_init(self, *args, **kw)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a row took the two-pass route")
+
+    monkeypatch.setattr(KoszulMF, "__init__", counted)
+    monkeypatch.setattr(MultiPoly, "convert", refuse)
+    monkeypatch.setattr(mfcore, "rename_alphabets", refuse)
+    assert compile_web(lad) == want
+    assert len(inits) == 1
+
+
+def test_ext_glue_matches_two_pass_route():
+    # the gluing step of ext_qdim, on its contracted and renamed arguments
+    for u, v in _n2m2_pairs():
+        a, b = exclude_variables(compile_web(u)), exclude_variables(compile_web(v))
+        if a.is_zero_object() or b.is_zero_object():
+            continue
+        lmap = {n: f"L.{n}" for n in a.gr.names() if n not in a.boundary}
+        rmap = {n: f"R.{n}" for n in b.gr.names() if n not in b.boundary}
+        want = _tensor_by_convert((dual(_rename_by_substitution(a, lmap)),
+                                   _rename_by_substitution(b, rmap)), u.N)
+        assert _glue([(dual(a), lmap), (b, rmap)], u.N) == want, (str(u), str(v))
+
+
+def test_ext_glues_once(monkeypatch):
+    u = compile_web(Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, 1, 1)]))
+    v = compile_web(Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, -1, 1), Rung(1, 1, 2)]))
+    want = (LaurentPoly({-2: 1, 0: 2, 2: 1}), LaurentPoly.zero())
+
+    glues = []
+
+    def counted(placed, N):
+        glues.append(len(placed))
+        return _glue(placed, N)
+
+    def refuse(*args, **kw):
+        raise AssertionError("the gluing took the two-pass route")
+
+    # exclusion converts its own rows; only the gluing step is watched here
+    monkeypatch.setattr(mfcore, "_glue", counted)
+    for name in ("rename_alphabets", "tensor", "tensor_all"):
+        monkeypatch.setattr(mfcore, name, refuse)
+    assert ext_qdim(u, v) == want
+    assert glues == [2]
+
+
+def _with_row(mf, r, row):
+    rows = list(mf.rows)
+    rows[r] = row
+    return KoszulMF(mf.gr, rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
+                    basemodule=mf.basemodule, boundary=mf.boundary)
+
+
+def test_check_potential_sees_a_changed_row():
+    for lad in _small_ladders():
+        mf = compile_web(lad)
+        for r, (p, q, dp, dq) in enumerate(mf.rows):
+            for bad in (_with_row(mf, r, (p, -q, dp, dq)), _with_row(mf, r, (p * 2, q, dp, dq))):
+                assert not check_potential(bad), (str(lad), r)
+
+
+def test_glue_refuses_colliding_renames():
+    merge = _piece("merge", 1, 1, 2)
+    for piece, renames in ((merge, {"top": "a", "bot1": "a", "bot2": "b"}),  # two onto one
+                           (merge, {"bot1": "top"}),  # onto a name kept as it is
+                           # onto the name of a strand pruned for thickness zero
+                           (_piece("merge", 2, 0, 2), {"top": "a", "bot1": "b", "bot2": "a"})):
+        with pytest.raises(ValueError, match="duplicate alphabet"):
+            _glue([(piece, renames)], 2)
+    # names shared between factors glue; a swap is no collision
+    glued = _glue([(merge, {"bot1": "bot2", "bot2": "bot1"}), (merge, {})], 2)
+    assert glued.gr.names() == ("top", "bot2", "bot1")
+
+
+def test_wrong_degree_reaches_the_check_through_glue(monkeypatch):
+    good = _piece("merge", 1, 1, 3)
+    p, q, dp, dq = good.rows[0]
+    bad = object.__new__(KoszulMF)
+    for slot in KoszulMF.__slots__:
+        setattr(bad, slot, getattr(good, slot))
+    bad.rows = ((p * good.gr.var("top", 1), q, dp, dq),) + good.rows[1:]
+    with pytest.raises(ValueError, match="entry degree"):
+        _glue([(bad, {})], 3)
+    # this ladder's F-rung places the merge of 1 with 1
+    monkeypatch.setattr(mfcore, "_piece", lambda *key: bad if key == ("merge", 1, 1, 3)
+                        else _piece(*key))
+    with pytest.raises(ValueError, match="entry degree"):
+        compile_web(Ladder(3, 2, (1, 1), [Rung(1, -1, 1)]))
 
 
 def test_compile_identity_ladder_is_edge():
