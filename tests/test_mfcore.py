@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -684,3 +686,43 @@ def test_dump_deterministic():
         "boundary: bot:-1 top:+1\n"
     )
     assert dump_mf(mf_edge(2, 3)) == dump_mf(mf_edge(2, 3))
+
+
+# ------------------------------------------------ pinned exclusion output
+
+
+def _bench_gen():
+    """perfbench/gen.py, loaded by path: the fixed EXT pair sets live there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("_bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+# SHA-256 of the exclusion dump of each pair's first web and of its EXT, or
+# of its IrreducibleToFinite message, over the four EXT sets of the benchmark
+# and the 400 same-top pairs at N=3, m=2, base (3, 0) with <= 3 rungs
+EXCLUSION_DIGEST = "9a3f21cb88f99f8154f70e33b3c4b7e50195bde8d223f67580438669bb953e47"
+
+
+def test_exclusion_output_is_pinned():
+    gen = _bench_gen()
+    wide = gen._pairs(3, 2, (3, 0), 3, 3)
+    assert len(wide) == 400
+    pairs = gen.ext_pairs() + [("n3m2r3", u, v) for u, v in wide]
+    digest = hashlib.sha256()
+    raised = 0
+    for name, u, v in pairs:
+        a, b = (compile_web(Ladder(N, m, base, tuple(Rung(*r) for r in rungs)))
+                for N, m, base, rungs in (u, v))
+        digest.update(f"{name} {u} {v}\n".encode())
+        digest.update(dump_mf(exclude_variables(a)).encode())
+        try:
+            h0, h1 = ext_qdim(a, b)
+            digest.update(f"{h0} | {h1}\n".encode())
+        except IrreducibleToFinite as exc:
+            raised += 1
+            digest.update(f"IrreducibleToFinite: {exc}\n".encode())
+    assert raised == 17
+    assert digest.hexdigest() == EXCLUSION_DIGEST

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -221,6 +222,17 @@ def test_multipoly_substitute_and_convert():
     r = f.substitute({}, flipped)
     assert r == f.convert(flipped)
     assert r == flipped.var("a") ** 2 * flipped.var("b") - 2 * flipped.var("b")
+    # two mapped generators at high exponents, and Fraction coefficients
+    tri = PolyRing([("a", 2), ("b", 2), ("c", 2)])
+    a, b, c = (tri.var(n) for n in ("a", "b", "c"))
+    f = a ** 3 * b ** 4 * c - 5 * a ** 4 * b ** 3 + a * c ** 3
+    s, t = big.var("a") - 2 * big.var("b"), 3 * big.var("a") + big.var("b")
+    want = s ** 3 * t ** 4 * big.var("b") - 5 * s ** 4 * t ** 3 + s * big.var("b") ** 3
+    assert f.substitute({"a": s, "b": t, "c": big.var("b")}, big) == want
+    half = big.var("a") * Fraction(1, 2) - big.var("b") * Fraction(2, 3)
+    g = a ** 3 * Fraction(3, 4) + a * b * c - 2 * c ** 3
+    want = half ** 3 * Fraction(3, 4) + half * big.var("b") ** 2 - 2 * big.var("b") ** 3
+    assert g.substitute({"a": half, "b": big.var("b"), "c": big.var("b")}, big) == want
     # the input checks both paths share
     with pytest.raises(ValueError, match="missing from target ring"):
         big.var("b").convert(small)
