@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from operator import add
 
 from ._linalg import fraction_rank
-from .qpoly import LaurentPoly, MultiPoly, NonExactDivision, PolyRing, power_sum_in_e
+from .qpoly import LaurentPoly, MultiPoly, NonExactDivision, PolyRing, _mul_into, power_sum_in_e
 from .webs import Ladder
 
 
@@ -153,12 +152,6 @@ class KoszulMF:
                 b[name] = sign
         self.boundary = dict(sorted(b.items()))
 
-    def _with(self, **kw):
-        args = dict(gr=self.gr, rows=self.rows, N=self.N, qshift=self.qshift,
-                    hshift=self.hshift, basemodule=self.basemodule, boundary=self.boundary)
-        args.update(kw)
-        return KoszulMF(**args)
-
     def is_zero_object(self):
         return not self.basemodule
 
@@ -166,10 +159,7 @@ class KoszulMF:
         """The sum of p*q over the rows, accumulated in one exponent dict."""
         W = {}
         for p, q, _, _ in self.rows:
-            for e1, v1 in p._t.items():
-                for e2, v2 in q._t.items():
-                    e = tuple(map(add, e1, e2))
-                    W[e] = W.get(e, 0) + v1 * v2
+            _mul_into(W, p._t, q._t)
         return MultiPoly._raw(self.gr.ring, W)
 
     def __eq__(self, other):
@@ -183,19 +173,6 @@ class KoszulMF:
     def __repr__(self):
         return (f"KoszulMF({len(self.rows)} rows, N={self.N}, "
                 f"qshift={self.qshift}, hshift={self.hshift})")
-
-
-def koszul(gr, p, q, N, **kw):
-    """Single-row factorization (p, q) with potential p*q."""
-    return KoszulMF(gr, [(p, q)], N, **kw)
-
-
-def shift_q(mf, s):
-    return mf._with(qshift=mf.qshift + int(s))
-
-
-def shift_h(mf, t=1):
-    return mf._with(hshift=(mf.hshift + int(t)) % 2)
 
 
 def dual(mf):
@@ -467,20 +444,19 @@ def _linear_solution(entry, varname):
     """If entry = c*x - g with x absent from g, return the substitution g/c."""
     ring = entry.ring
     i = ring.index(varname)
-    n = len(ring.gens)
-    unit = tuple(1 if t == i else 0 for t in range(n))
-    c = entry.terms().get(unit)
-    if not c:
-        return None
-    rest = {}
-    for exps, v in entry.terms().items():
+    unit = tuple(int(t == i) for t in range(len(ring)))
+    c, rest = None, {}
+    for exps, v in entry._t.items():
         if exps == unit:
-            continue
-        if exps[i]:
+            c = v
+        elif exps[i]:
             return None
-        rest[exps] = v
-    g = -MultiPoly(ring, rest)
-    return g * (Fraction(1) / Fraction(c))
+        else:
+            rest[exps] = v
+    if c is None:
+        return None
+    scale = Fraction(-1, c)
+    return MultiPoly._raw(ring, {e: v * scale for e, v in rest.items()})
 
 
 def _zero_object(N):
@@ -493,32 +469,41 @@ def _internal_vars(mf):
             if n.rsplit(".", 1)[0] not in protected]
 
 
-def _find_linear(cur, internals):
-    for r, (p, q, dp, dq) in enumerate(cur.rows):
-        for side, entry in (("q", q), ("p", p)):
+def _flipped(qshift, hshift, dp, dq):
+    """Shifts after flipping a row (p, q) of degrees (dp, dq) to (q, p)."""
+    return qshift + (dq - dp) // 2, hshift ^ 1
+
+
+def _eliminate(cur, r, name, flip, sol=None, basemodule=None):
+    """Drop row r and the internal variable name, which that row presents.
+
+    The other rows move into the ring without name, with sol substituted
+    for it when given. flip says the row's p-entry, not its q-entry, is the
+    one that presents name, which costs the row's flip shifts. basemodule,
+    when given, replaces cur's.
+    """
+    gr = cur.gr.without(name)
+    mapping = {} if sol is None else {name: sol.convert(gr.ring)}
+    rows = [(p.substitute(mapping, gr.ring), q.substitute(mapping, gr.ring), dp, dq)
+            for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
+    qsh, hsh = cur.qshift, cur.hshift
+    if flip:
+        _, _, dp, dq = cur.rows[r]
+        qsh, hsh = _flipped(qsh, hsh, dp, dq)
+    return KoszulMF(gr, rows, cur.N, qshift=qsh, hshift=hsh,
+                    basemodule=cur.basemodule if basemodule is None else basemodule,
+                    boundary=cur.boundary)
+
+
+def _linear_once(cur, internals):
+    """Eliminate the first entry c*x - g: rows in order, q before p, then x."""
+    for r, (p, q, _, _) in enumerate(cur.rows):
+        for flip, entry in ((False, q), (True, p)):
             for name in internals:
                 sol = _linear_solution(entry, name)
                 if sol is not None:
-                    return (r, side, name, sol, dp, dq)
+                    return _eliminate(cur, r, name, flip, sol=sol)
     return None
-
-
-def _apply_exclusion(cur, hit):
-    r, side, name, sol, dp, dq = hit
-    gr = cur.gr.without(name)
-    sol = sol.convert(gr.ring)
-    rows = []
-    for idx, (p, q, rdp, rdq) in enumerate(cur.rows):
-        if idx == r:
-            continue
-        rows.append((p.substitute({name: sol}, ring=gr.ring),
-                     q.substitute({name: sol}, ring=gr.ring), rdp, rdq))
-    qsh, hsh = cur.qshift, cur.hshift
-    if side == "p":
-        hsh ^= 1
-        qsh += (dq - dp) // 2
-    return KoszulMF(gr, rows, cur.N, qshift=qsh, hshift=hsh,
-                    basemodule=cur.basemodule, boundary=cur.boundary)
 
 
 def _absorb_once(cur, internals):
@@ -538,7 +523,7 @@ def _absorb_once(cur, internals):
         entry, dd = (p, dp) if flip else (q, dq)
         for name in internals:
             i = ring.index(name)
-            k = max((exps[i] for exps in entry.terms()), default=0)
+            k = max((exps[i] for exps in entry._t), default=0)
             step = ring.degree_of(name)
             if k == 0 or k * step != dd:
                 continue
@@ -546,17 +531,8 @@ def _absorb_once(cur, internals):
                    for j, (po, qo, _, _) in enumerate(cur.rows) if j != r
                    for f in (po, qo)):
                 continue
-            gr = cur.gr.without(name)
-            rows = [(po.convert(gr.ring), qo.convert(gr.ring), rdp, rdq)
-                    for j, (po, qo, rdp, rdq) in enumerate(cur.rows) if j != r]
-            qsh, hsh = cur.qshift, cur.hshift
-            if flip:
-                hsh ^= 1
-                qsh += (dq - dp) // 2
-            bm = tuple(sorted(m + j * step
-                              for m in cur.basemodule for j in range(k)))
-            return KoszulMF(gr, rows, cur.N, qshift=qsh, hshift=hsh,
-                            basemodule=bm, boundary=cur.boundary)
+            bm = tuple(m + j * step for m in cur.basemodule for j in range(k))
+            return _eliminate(cur, r, name, flip, basemodule=bm)
     return None
 
 
@@ -644,8 +620,9 @@ def exclude_variables(mf):
             if (p.is_constant() and not p.is_zero()) or (q.is_constant() and not q.is_zero()):
                 return _zero_object(cur.N)
         internals = _internal_vars(cur)
-        hit = _find_linear(cur, internals)
-        nxt = _apply_exclusion(cur, hit) if hit is not None else _absorb_once(cur, internals)
+        nxt = _linear_once(cur, internals)
+        if nxt is None:
+            nxt = _absorb_once(cur, internals)
         if nxt is not None:
             cur, idle = nxt, 0
             continue
@@ -766,8 +743,7 @@ def ext_qdim(a, b):
         elif pz:
             fs.append(q)
         elif qz:
-            hsh ^= 1
-            qsh += (dq - dp) // 2
+            qsh, hsh = _flipped(qsh, hsh, dp, dq)
             fs.append(p)
         else:
             used = [x for x, _ in red.gr.ring.gens if any(f.uses(x) for r in red.rows for f in r[:2])]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 
 class NonExactDivision(ArithmeticError):
@@ -30,6 +30,15 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _mul_into(out, a, b):
+    """Add the product of exponent dicts a and b into out, and return out."""
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + v1 * v2
+    return out
 
 
 class LaurentPoly:
@@ -165,6 +174,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as one
+        if not self._c.keys() - {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __bool__(self):
@@ -365,7 +377,7 @@ class MultiPoly:
                 v = _norm_coeff(v)
                 if v:
                     t[exps] = t.get(exps, 0) + v
-        self._t = {e: _norm_coeff(v) for e, v in t.items() if v}
+        self._t = {e: v for e, v in t.items() if v}
 
     @classmethod
     def _raw(cls, ring, terms):
@@ -434,12 +446,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        t = {}
-        for e1, v1 in self._t.items():
-            for e2, v2 in other._t.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                t[e] = t.get(e, 0) + v1 * v2
-        return MultiPoly._raw(self.ring, t)
+        return MultiPoly._raw(self.ring, _mul_into({}, self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -463,6 +470,9 @@ class MultiPoly:
         return self.ring == other.ring and self._t == other._t
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes as one
+        if self.is_constant():
+            return hash(next(iter(self._t.values()), 0))
         return hash((self.ring, frozenset(self._t.items())))
 
     def __bool__(self):
@@ -556,16 +566,21 @@ class MultiPoly:
             for i, j in moved.items():
                 ne[j] = exps[i]
             groups.setdefault(tuple(exps[i] for i in subst), {})[tuple(ne)] = v
-        if not subst:
-            return MultiPoly._raw(ring, groups.get((), {}))
-        out = ring.zero()
-        for key, terms in groups.items():
-            part = MultiPoly._raw(ring, terms)
-            for val, e in zip(subst.values(), key):
+        # powers[k][e] is the k-th mapped value to the e >= 1, built once
+        powers = []
+        for k, val in enumerate(subst.values()):
+            pw = [None, val._t]
+            for _ in range(max(key[k] for key in groups) - 1):
+                pw.append(_mul_into({}, pw[-1], val._t))
+            powers.append(pw)
+        out = {}
+        for key, part in groups.items():
+            for pw, e in zip(powers, key):
                 if e:
-                    part = part * val ** e
-            out = out + part
-        return out
+                    part = _mul_into({}, part, pw[e])
+            for e, v in part.items():
+                out[e] = out.get(e, 0) + v
+        return MultiPoly._raw(ring, out)
 
     def uses(self, name):
         i = self.ring.index(name)

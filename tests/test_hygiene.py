@@ -1,6 +1,7 @@
-"""Static checks on the source tree that need only the standard library."""
+"""Checks on the source tree that need only the standard library."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,24 @@ def test_private_helpers_have_library_callers():
                 loaded.add(node.attr)
     assert helpers
     assert sorted(helpers - loaded) == []
+
+
+def test_layer_trace_targets_resolve():
+    # perfbench/layertrace.py wraps qwebs names by string and fails at
+    # install time when one is renamed or deleted; it is read, not edited
+    spec = importlib.util.spec_from_file_location(
+        "_layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    targets = [row[:3] for row in layertrace.SPANS + layertrace.COUNTS]
+    assert targets
+    missing = []
+    for mod, cls, attr in targets:
+        module = importlib.import_module(f"qwebs.{mod}")
+        owner = vars(module)[cls] if cls else module
+        if attr not in vars(owner):
+            missing.append(f"{mod}.{cls + '.' if cls else ''}{attr}")
+    assert missing == []
+    # perfbench/worker.py reads the split cache's statistics
+    from qwebs.repfun import split_matrix
+    assert callable(split_matrix.cache_info)

@@ -24,13 +24,10 @@ from qwebs.mfcore import (
     dump_mf,
     exclude_variables,
     ext_qdim,
-    koszul,
     mf_edge,
     mf_merge,
     mf_split,
     rename_alphabets,
-    shift_h,
-    shift_q,
     tensor,
     tensor_all,
 )
@@ -113,10 +110,10 @@ def test_degenerate_merge_split_equal_edge():
 def test_koszul_row_and_errors():
     gr = GradedRing([("a", 1)])
     x = gr.var("a", 1)
-    mf = koszul(gr, x * x * x, x, 3)
+    mf = KoszulMF(gr, [(x * x * x, x)], 3)
     assert mf.rows[0][2:] == (6, 2)
     with pytest.raises(ValueError):
-        koszul(gr, x * x, x, 3)  # degrees 4 + 2 != 8
+        KoszulMF(gr, [(x * x, x)], 3)  # degrees 4 + 2 != 8
     with pytest.raises(ValueError):
         KoszulMF(gr, [(gr.ring.zero(), gr.ring.zero())], 2)
     zz = KoszulMF(gr, [(gr.ring.zero(), gr.ring.zero(), 4, 2)], 2)
@@ -144,10 +141,7 @@ def test_tensor_glues_and_collides():
 
 def test_shifts_and_dual():
     e = mf_edge(1, 2)
-    assert shift_q(e, 3).qshift == 3
-    assert shift_h(e).hshift == 1
-    assert shift_h(shift_h(e)).hshift == 0
-    d = dual(shift_q(e, 2))
+    d = dual(KoszulMF(e.gr, e.rows, e.N, qshift=2, boundary=e.boundary))
     assert d.qshift == -2
     assert d.potential() == -e.potential()
     assert d.boundary == {"top": -1, "bot": 1}

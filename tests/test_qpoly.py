@@ -262,3 +262,11 @@ def test_ring_value_semantics():
     assert r1 == r2
     assert r1 != r3
     assert r1.var("a") == r2.var("a")
+    # a constant equals its coefficient, so it must hash as one
+    assert LaurentPoly.const(3) == 3 and hash(LaurentPoly.const(3)) == hash(3)
+    assert len({3, LaurentPoly.const(3)}) == 1
+    assert hash(LaurentPoly.zero()) == hash(0)
+    half = r1.const(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({Fraction(1, 2), half}) == 1
+    assert hash(r1.zero()) == hash(0) and r1.const(2) in {2}
