@@ -76,12 +76,15 @@ class GradedRing:
         return self.ring.var(f"{name}.{j}")
 
     def without(self, varname):
+        """This ring without one generator, sliced from this one's tuples."""
         alph, j = varname.rsplit(".", 1)
         j = int(j)
-        return GradedRing(
-            (n, tuple(i for i in idx if not (n == alph and i == j)))
-            for n, idx in self.alphabets
-        )
+        out = object.__new__(GradedRing)
+        out.alphabets = tuple((n, idx) for n, idx in (
+            (n, tuple(i for i in idx if i != j) if n == alph else idx)
+            for n, idx in self.alphabets) if idx)
+        out.ring = self.ring._without(self.ring.index(varname))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self.alphabets == other.alphabets
@@ -152,6 +155,16 @@ class KoszulMF:
                 b[name] = sign
         self.boundary = dict(sorted(b.items()))
 
+    @classmethod
+    def _raw(cls, gr, rows, N, qshift, hshift, basemodule, boundary):
+        """Internal fast path: the fields are already in the form __init__
+        leaves them in, and every row would pass its checks."""
+        self = object.__new__(cls)
+        self.gr, self.rows, self.N = gr, tuple(rows), N
+        self.qshift, self.hshift = qshift, hshift
+        self.basemodule, self.boundary = basemodule, boundary
+        return self
+
     def is_zero_object(self):
         return not self.basemodule
 
@@ -183,12 +196,12 @@ def dual(mf):
     """
     rows = tuple((-q, p, dq, dp) for p, q, dp, dq in mf.rows)
     internals = _internal_vars(mf)
-    return KoszulMF(
+    return KoszulMF._raw(
         mf.gr, rows, mf.N,
-        qshift=-mf.qshift + sum(mf.gr.ring.degree_of(x) - mf.N - 1 for x in internals),
-        hshift=mf.hshift + len(internals),
-        basemodule=tuple(-d for d in mf.basemodule),
-        boundary={n: -s for n, s in mf.boundary.items()},
+        -mf.qshift + sum(mf.gr.ring.degree_of(x) - mf.N - 1 for x in internals),
+        (mf.hshift + len(internals)) % 2,
+        tuple(sorted(-d for d in mf.basemodule)),
+        {n: -s for n, s in mf.boundary.items()},
     )
 
 
@@ -440,23 +453,10 @@ def check_potential(mf):
 # ------------------------------------------------------------- exclusion
 
 
-def _linear_solution(entry, varname):
-    """If entry = c*x - g with x absent from g, return the substitution g/c."""
-    ring = entry.ring
-    i = ring.index(varname)
-    unit = tuple(int(t == i) for t in range(len(ring)))
-    c, rest = None, {}
-    for exps, v in entry._t.items():
-        if exps == unit:
-            c = v
-        elif exps[i]:
-            return None
-        else:
-            rest[exps] = v
-    if c is None:
-        return None
+def _linear_solution(entry, i, c):
+    """For entry = c*x - g, x generator i and absent from g, the value g/c."""
     scale = Fraction(-1, c)
-    return MultiPoly._raw(ring, {e: v * scale for e, v in rest.items()})
+    return MultiPoly._raw(entry.ring, {e: v * scale for e, v in entry._t.items() if not e[i]})
 
 
 def _zero_object(N):
@@ -477,32 +477,56 @@ def _flipped(qshift, hshift, dp, dq):
 def _eliminate(cur, r, name, flip, sol=None, basemodule=None):
     """Drop row r and the internal variable name, which that row presents.
 
-    The other rows move into the ring without name, with sol substituted
-    for it when given. flip says the row's p-entry, not its q-entry, is the
-    one that presents name, which costs the row's flip shifts. basemodule,
-    when given, replaces cur's.
+    The other rows move into the ring without name: an entry that does not
+    use name loses its exponent slot, one that does has sol substituted for
+    name. flip says the row's p-entry, not its q-entry, is the one that
+    presents name, which costs the row's flip shifts. basemodule, when
+    given, replaces cur's and must be sorted. A sol that is zero or
+    homogeneous of the degree of name keeps every row's stored degrees, so
+    that is the one check; ValueError otherwise.
     """
+    i = cur.gr.ring.index(name)
     gr = cur.gr.without(name)
-    mapping = {} if sol is None else {name: sol.convert(gr.ring)}
-    rows = [(p.substitute(mapping, gr.ring), q.substitute(mapping, gr.ring), dp, dq)
-            for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
+
+    def drop(f):
+        return MultiPoly._raw(gr.ring, {e[:i] + e[i + 1:]: v for e, v in f._t.items()})
+    mapping = {}
+    if sol is not None:
+        if sol.homogeneous_degree() not in (None, cur.gr.ring.degree_of(name)):
+            raise ValueError(f"substitution for {name} changes its degree")
+        mapping[name] = drop(sol)
+
+    def move(f):
+        return f.substitute(mapping, gr.ring) if any(e[i] for e in f._t) else drop(f)
+    rows = [(move(p), move(q), dp, dq) for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
     qsh, hsh = cur.qshift, cur.hshift
     if flip:
         _, _, dp, dq = cur.rows[r]
         qsh, hsh = _flipped(qsh, hsh, dp, dq)
-    return KoszulMF(gr, rows, cur.N, qshift=qsh, hshift=hsh,
-                    basemodule=cur.basemodule if basemodule is None else basemodule,
-                    boundary=cur.boundary)
+    return KoszulMF._raw(gr, rows, cur.N, qsh, hsh,
+                         cur.basemodule if basemodule is None else basemodule, cur.boundary)
 
 
 def _linear_once(cur, internals):
-    """Eliminate the first entry c*x - g: rows in order, q before p, then x."""
+    """Eliminate the first entry c*x - g: rows in order, q before p, then x.
+
+    Each entry is read once: the candidates are the internal slots that
+    carry a bare c*x term and that no other term of the entry uses.
+    """
+    ring = cur.gr.ring
+    slots = [ring.index(n) for n in internals]
     for r, (p, q, _, _) in enumerate(cur.rows):
         for flip, entry in ((False, q), (True, p)):
-            for name in internals:
-                sol = _linear_solution(entry, name)
-                if sol is not None:
-                    return _eliminate(cur, r, name, flip, sol=sol)
+            units, used = {}, set()
+            for exps, v in entry._t.items():
+                if sum(exps) == 1:
+                    units[exps.index(1)] = v
+                else:
+                    used.update(t for t, e in enumerate(exps) if e)
+            for i, name in zip(slots, internals):
+                if i in units and i not in used:
+                    return _eliminate(cur, r, name, flip,
+                                      sol=_linear_solution(entry, i, units[i]))
     return None
 
 
@@ -531,7 +555,7 @@ def _absorb_once(cur, internals):
                    for j, (po, qo, _, _) in enumerate(cur.rows) if j != r
                    for f in (po, qo)):
                 continue
-            bm = tuple(m + j * step for m in cur.basemodule for j in range(k))
+            bm = tuple(sorted(m + j * step for m in cur.basemodule for j in range(k)))
             return _eliminate(cur, r, name, flip, basemodule=bm)
     return None
 
@@ -585,9 +609,9 @@ def _rref_once(cur, internals):
     rows = tuple(tuple(row) for row in rows)
     if rows == cur.rows:
         return None
-    out = KoszulMF(cur.gr, rows, cur.N,
-                   qshift=cur.qshift, hshift=cur.hshift,
-                   basemodule=cur.basemodule, boundary=cur.boundary)
+    # same-degree row operations keep every row's ring and stored degrees
+    out = KoszulMF._raw(cur.gr, rows, cur.N, cur.qshift, cur.hshift,
+                        cur.basemodule, cur.boundary)
     if out.potential() != cur.potential():
         raise AssertionError("row operations moved the potential")
     return out

@@ -720,3 +720,122 @@ def test_exclusion_output_is_pinned():
             digest.update(f"IrreducibleToFinite: {exc}\n".encode())
     assert raised == 17
     assert digest.hexdigest() == EXCLUSION_DIGEST
+
+
+# ------------------------------------------------ the one elimination step
+
+
+def test_graded_ring_without_matches_a_fresh_ring():
+    gr = GradedRing([("a", 2), ("b", 1), ("c", (2, 3)), ("d.x", 3)])
+    cases = {
+        "a.1": [("a", (2,)), ("b", 1), ("c", (2, 3)), ("d.x", 3)],
+        "b.1": [("a", 2), ("c", (2, 3)), ("d.x", 3)],  # b is emptied and pruned
+        "c.3": [("a", 2), ("b", 1), ("c", (2,)), ("d.x", 3)],  # sparse c stays sparse
+        "d.x.2": [("a", 2), ("b", 1), ("c", (2, 3)), ("d.x", (1, 3))],
+    }
+    for name, alphabets in cases.items():
+        got, want = gr.without(name), GradedRing(alphabets)
+        assert got == want and hash(got) == hash(want), name
+        assert got.ring == want.ring and hash(got.ring) == hash(want.ring)
+        assert got.ring.gens == want.ring.gens and got.ring.names() == want.ring.names()
+        for x in want.ring.names():
+            assert got.ring.index(x) == want.ring.index(x)
+            assert got.ring.degree_of(x) == want.ring.degree_of(x)
+        assert name not in got.ring
+    # dropping down to the empty ring, one generator at a time
+    cur = gr
+    for x in gr.ring.names():
+        cur = cur.without(x)
+    assert cur == GradedRing([]) and cur.ring.gens == ()
+
+
+def _eliminate_by_substitution(cur, r, name, flip, sol=None, basemodule=None):
+    """Reference step: a freshly built smaller ring, every other row through
+    substitute, sol through convert, and the checked KoszulMF."""
+    alph, j = name.rsplit(".", 1)
+    gr = GradedRing((n, tuple(i for i in idx if not (n == alph and i == int(j))))
+                    for n, idx in cur.gr.alphabets)
+    mapping = {} if sol is None else {name: sol.convert(gr.ring)}
+    rows = [(p.substitute(mapping, gr.ring), q.substitute(mapping, gr.ring), dp, dq)
+            for k, (p, q, dp, dq) in enumerate(cur.rows) if k != r]
+    qsh, hsh = cur.qshift, cur.hshift
+    if flip:
+        _, _, dp, dq = cur.rows[r]
+        qsh, hsh = qsh + (dq - dp) // 2, hsh + 1
+    return KoszulMF(gr, rows, cur.N, qshift=qsh, hshift=hsh,
+                    basemodule=cur.basemodule if basemodule is None else basemodule,
+                    boundary=cur.boundary)
+
+
+@pytest.fixture(scope="module")
+def sweep_webs():
+    """The compiled webs of the 75 n2m2 and the 43 n3m2 pairs of the benchmark."""
+    out = []
+    for name, u, v in _bench_gen().ext_pairs():
+        if name in ("n2m2", "n3m2"):
+            out.append(tuple(compile_web(Ladder(N, m, base, tuple(Rung(*r) for r in rungs)))
+                             for N, m, base, rungs in (u, v)))
+    assert len(out) == 118
+    return out
+
+
+def test_eliminate_matches_substitution_oracle(monkeypatch, sweep_webs):
+    real = mfcore._eliminate
+    kinds = {"linear": 0, "absorb": 0, "substituted": 0}
+
+    def checked(cur, r, name, flip, sol=None, basemodule=None):
+        out = real(cur, r, name, flip, sol=sol, basemodule=basemodule)
+        want = _eliminate_by_substitution(cur, r, name, flip, sol=sol, basemodule=basemodule)
+        assert out == want and dump_mf(out) == dump_mf(want)
+        kinds["linear" if sol is not None else "absorb"] += 1
+        kinds["substituted"] += any(f.uses(name) for j, row in enumerate(cur.rows) if j != r
+                                    for f in row[:2])
+        return out
+
+    monkeypatch.setattr(mfcore, "_eliminate", checked)
+    for a, b in sweep_webs:
+        ext_qdim(a, b)
+    assert all(kinds.values()), kinds
+
+
+def test_eliminate_refuses_a_substitution_of_another_degree(monkeypatch):
+    real = mfcore._linear_solution
+
+    def heavier(entry, i, c):
+        two = next(x for x, d in entry.ring.gens if d == 2)
+        return real(entry, i, c) * entry.ring.var(two)
+
+    monkeypatch.setattr(mfcore, "_linear_solution", heavier)
+    mf = compile_web(Ladder(2, 2, (2, 0), [Rung(1, -1, 1)]))
+    with pytest.raises(ValueError, match="changes its degree"):
+        exclude_variables(mf)
+
+
+def _rechecked(mf):
+    return KoszulMF(mf.gr, mf.rows, mf.N, qshift=mf.qshift, hshift=mf.hshift,
+                    basemodule=mf.basemodule, boundary=mf.boundary)
+
+
+def test_trusted_factorizations_pass_the_checked_constructor(monkeypatch, sweep_webs):
+    # exclusion, row sweeps and dual build their results unchecked
+    seen = dict.fromkeys(("exclude_variables", "_rref_once", "dual"), 0)
+
+    def spy(fname):
+        real = getattr(mfcore, fname)
+
+        def wrapped(*args):
+            out = real(*args)
+            if out is not None:
+                again = _rechecked(out)
+                assert out == again and dump_mf(out) == dump_mf(again), fname
+                assert check_potential(out), fname
+                seen[fname] += 1
+            return out
+        return wrapped
+
+    for fname in seen:
+        monkeypatch.setattr(mfcore, fname, spy(fname))
+    for a, b in sweep_webs:
+        ext_qdim(a, b)
+        mfcore.dual(a)  # uncontracted, so with internal variables
+    assert all(seen.values()), seen
