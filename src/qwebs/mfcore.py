@@ -401,14 +401,13 @@ def compile_web(u):
     if not isinstance(u, Ladder):
         raise TypeError("compile_web expects a single ladder")
     N, m = u.N, u.m
-    k = list(u.base)
     seg = [f"bot.{i + 1}" for i in range(m)]
     fresh = count(1)
     placed = []
 
     def place(kind, k1, k2, **names):
         placed.append((_piece(kind, k1, k2, N), names))
-    for rung in u.rungs:
+    for rung, k in zip(u.rungs, u.weights()):
         i = rung.pos - 1
         a = rung.thickness
         k1, k2 = k[i], k[i + 1]
@@ -418,19 +417,16 @@ def compile_web(u):
             lname = f"s{next(fresh)}"
             place("split", a, k2 - a, top1=jname, top2=rname, bot=seg[i + 1])
             place("merge", a, k1, top=lname, bot1=jname, bot2=seg[i])
-            seg[i], seg[i + 1] = lname, rname
-            k[i], k[i + 1] = k1 + a, k2 - a
         else:
             jname = f"s{next(fresh)}"
             lname = f"s{next(fresh)}"
             rname = f"s{next(fresh)}"
             place("split", k1 - a, a, top1=lname, top2=jname, bot=seg[i])
             place("merge", k2, a, top=rname, bot1=seg[i + 1], bot2=jname)
-            seg[i], seg[i + 1] = lname, rname
-            k[i], k[i + 1] = k1 - a, k2 + a
-    for i in range(m):
-        if k[i]:
-            place("merge", k[i], 0, top=f"top.{i + 1}", bot1=seg[i])
+        seg[i], seg[i + 1] = lname, rname
+    for i, ki in enumerate(u.top):
+        if ki:
+            place("merge", ki, 0, top=f"top.{i + 1}", bot1=seg[i])
     return _glue(placed, N)
 
 
@@ -586,22 +582,22 @@ def _rref_once(cur, internals):
                 continue
             cols = set()
             for idx in idxs:
-                cols.update(rows[idx][side].terms())
+                cols.update(rows[idx][side]._t)
             pivoted = set()
             for col in sorted(cols, key=lambda e: (-weight(e), e)):
                 piv = next((idx for idx in idxs if idx not in pivoted
-                            and rows[idx][side].terms().get(col)), None)
+                            and rows[idx][side]._t.get(col)), None)
                 if piv is None:
                     continue
                 pivoted.add(piv)
-                c = Fraction(rows[piv][side].terms()[col])
+                c = Fraction(rows[piv][side]._t[col])
                 if c != 1:
                     rows[piv][side] = rows[piv][side] * (Fraction(1) / c)
                     rows[piv][1 - side] = rows[piv][1 - side] * c
                 for idx in idxs:
                     if idx == piv:
                         continue
-                    lam = Fraction(rows[idx][side].terms().get(col, 0))
+                    lam = Fraction(rows[idx][side]._t.get(col, 0))
                     if not lam:
                         continue
                     rows[idx][side] = rows[idx][side] - rows[piv][side] * lam

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qpoly import LaurentPoly, qbinom, qbinom_ext
-from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, apply_rung, highest_weight_ladder
+from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, highest_weight_ladder, slices
 from .repfun import _maps_agree, web_form
 
 RULES = ("digon", "opposite-digon", "associativity", "parallel-square", "opposite-square")
@@ -73,24 +73,18 @@ def _board(position, pair_labels):
 def _sides_equal(N, base, lhs, rhs):
     """Compare two (coeff, rungs) lists through the functor.
 
-    A rung list whose slice leaves [0, N] is the zero web and drops out; the
-    surviving lists must all end on one weight.
+    A rung list whose slices leave [0, N], base included, is the zero web and
+    drops out; the surviving lists must all end on one weight.
     """
-    if not GlWeight(base).valid(N):
-        return True
     tops = set()
     sides = ([], [])
     for side, terms in zip(sides, (lhs, rhs)):
         for coeff, rungs in terms:
-            k = base
-            for r in rungs:
-                k = apply_rung(k, r, N)
-                if k is Zero:
-                    break
-            else:
-                tops.add(k)
+            ks = slices(N, base, rungs)
+            if ks is not Zero:
+                tops.add(ks[-1])
                 side.append((coeff, rungs))
-    return len(tops) <= 1 and _maps_agree(N, base, *sides)
+    return not tops or (len(tops) == 1 and _maps_agree(N, base, *sides))
 
 
 def _relation_sides(inst, N):
@@ -186,6 +180,9 @@ def relation_instances(N, rules=None):
     if N < 2:
         raise ValueError("need N >= 2")
     rules = tuple(rules) if rules else RULES
+    unknown = [rule for rule in rules if rule not in RULES]
+    if unknown:
+        raise ValueError(f"unknown rule(s) {', '.join(unknown)} (available: {', '.join(RULES)})")
     out = []
     for rule in rules:
         if rule in ("digon", "opposite-digon"):
@@ -276,8 +273,11 @@ def simplify(w):
 
     Collapses closed bigons and combines stacked same-direction rungs, with
     the binomial coefficients that keep everything inside Z[q, q^-1], after
-    bubbling independent rungs into position order. Idempotent on its image.
+    bubbling independent rungs into position order. Idempotent on its image;
+    Zero stays Zero.
     """
+    if w is Zero:
+        return Zero
     if isinstance(w, Ladder):
         w = WebLinComb.of(w)
     terms = {}
@@ -305,8 +305,10 @@ def reduce_to_highest(u):
 
     The result must have nonnegative coefficients; a negative one raises
     NegativeCoefficient because it would contradict positivity of the basis
-    expansion.
+    expansion. The zero web pairs to 0.
     """
+    if u is Zero:
+        return LaurentPoly.zero()
     if isinstance(u, Ladder):
         u = WebLinComb.of(u)
     ell = sum(u.base) // u.N

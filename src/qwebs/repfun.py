@@ -21,13 +21,12 @@ from itertools import combinations, product
 
 from .qpoly import LaurentPoly
 from .webs import (
-    GlWeight,
     WebLinComb,
     Zero,
-    apply_rung,
     compose,
     d_norm,
     reflect,
+    slices,
 )
 
 # coefficient picked up when one out-of-order pair of wedge factors is sorted:
@@ -383,13 +382,11 @@ def _rung_pieces(ki, kj, sign, a, N):
 
 def _certified(N, base, rungs):
     """Whether every merge and split piece of a rung list is certified."""
-    k = base
-    for r in rungs:
+    for k, r in zip(slices(N, base, rungs), rungs):
         i = r.pos - 1
         sp, mg = _rung_pieces(k[i], k[i + 1], r.sign, r.thickness, N)
         if not (_piece(*sp, N).certified and _piece(*mg, N).certified):
             return False
-        k = apply_rung(k, r, N)
     return True
 
 
@@ -426,14 +423,13 @@ def _local_rung_cols(ki, kj, sign, a, N):
     return cols
 
 
-def _push(N, base, rungs, vec):
-    """Push sparse columns {(col, elem): {e: coeff}} through a rung list.
+def _push(N, ks, rungs, vec):
+    """Push sparse columns {(col, elem): {e: coeff}} up rungs with slices ks.
 
     Every local rung entry is +-q^e, so a rung only shifts exponents and adds
-    integers; the slice weight moves once per rung for all columns at once.
+    integers; one slice serves all columns at once.
     """
-    k = base
-    for r in rungs:
+    for k, r in zip(ks, rungs):
         i = r.pos - 1
         cols = _local_rung_cols(k[i], k[i + 1], r.sign, r.thickness, N)
         out = {}
@@ -452,7 +448,6 @@ def _push(N, base, rungs, vec):
             acc = {x: v for x, v in acc.items() if v}
             if acc:
                 vec[key] = acc
-        k = apply_rung(k, r, N)
     return vec
 
 
@@ -469,7 +464,7 @@ def _images(N, base, terms, elems):
     for coeff, rungs in terms:
         cc = coeff.coeffs()
         unit = cc == {0: 1}
-        for (ci, elem), poly in _push(N, base, rungs, cols).items():
+        for (ci, elem), poly in _push(N, slices(N, base, rungs), rungs, cols).items():
             tgt = acc.get((elem, ci))
             if tgt is None:
                 tgt = acc[(elem, ci)] = {}
@@ -532,11 +527,10 @@ def _terms_matrix(N, base, top, terms):
 
 def rung_matrix(rung, k, N):
     """Matrix of one rung on the full slice basis at weight k."""
-    k = GlWeight(k)
-    k2 = apply_rung(k, rung, N)
-    if k2 is Zero:
+    ks = slices(N, k, (rung,))
+    if ks is Zero:
         raise ValueError(f"rung {rung} does not act on {tuple(k)}")
-    return _terms_matrix(N, k, k2, [(LaurentPoly.one(), (rung,))])
+    return _terms_matrix(N, *ks, [(LaurentPoly.one(), (rung,))])
 
 
 def ladder_matrix(u):
@@ -561,18 +555,20 @@ def _is_highest(k, N):
 
 
 def ev_closed(u):
-    """Scalar value of a closed ladder (base = top = the highest weight)."""
+    """Scalar value of a closed ladder (base = top = the highest weight); Zero is 0."""
     if isinstance(u, WebLinComb):
         total = LaurentPoly.zero()
         for lad, c in u.items():
             total = total + c * ev_closed(lad)
         return total
+    if u is Zero:
+        return LaurentPoly.zero()
     if not _is_highest(u.base, u.N):
         raise ValueError(f"base {tuple(u.base)} is not the highest weight pattern")
     if tuple(u.top) != tuple(u.base):
         raise ValueError("ladder is not closed")
     e0 = FockBasis(u.N, u.base).elements[0]
-    vec = _push(u.N, u.base, u.rungs, {(0, e0): {0: 1}})
+    vec = _push(u.N, u.weights(), u.rungs, {(0, e0): {0: 1}})
     return LaurentPoly._raw(vec.get((0, e0), {}))
 
 

@@ -169,6 +169,23 @@ def apply_rung(k, rung, N):
     return GlWeight(new)
 
 
+def slices(N, base, rungs):
+    """Slice weights of a rung list, base first, or Zero once one leaves [0, N].
+
+    The one walk of a rung list; a Ladder keeps what it returns.
+    """
+    k = base if isinstance(base, GlWeight) else GlWeight(base)
+    if not k.valid(N):
+        return Zero
+    out = [k]
+    for r in rungs:
+        k = apply_rung(k, r, N)
+        if k is Zero:
+            return Zero
+        out.append(k)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Ladder:
     """A ladder web: base weight plus rungs listed bottom to top."""
@@ -187,35 +204,23 @@ class Ladder:
             raise ValueError("base weight length != m")
         if not self.base.valid(self.N):
             raise ValueError(f"base weight {tuple(self.base)} leaves [0, {self.N}]")
-        k = self.base
-        for r in self.rungs:
-            if r.pos > self.m - 1:
-                raise ValueError(f"rung position {r.pos} does not fit m={self.m}")
-            k = apply_rung(k, r, self.N)
-            if k is Zero:
-                raise ValueError("intermediate weight leaves [0, N]")
+        ks = slices(self.N, self.base, self.rungs)
+        if ks is Zero:
+            raise ValueError("intermediate weight leaves [0, N]")
+        # kept outside the fields, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_slices", ks)
 
     def weights(self):
         """All horizontal slice weights, base first; length len(rungs)+1."""
-        out = [self.base]
-        k = self.base
-        for r in self.rungs:
-            k = apply_rung(k, r, self.N)
-            out.append(k)
-        return out
+        return list(self._slices)
 
     @property
     def top(self):
-        k = self.base
-        for r in self.rungs:
-            k = apply_rung(k, r, self.N)
-        return k
+        return self._slices[-1]
 
     def with_rung(self, rung):
         """Ladder extended by one rung on top, or Zero."""
-        if apply_rung(self.top, rung, self.N) is Zero:
-            return Zero
-        return Ladder(self.N, self.m, self.base, self.rungs + (rung,))
+        return make_ladder(self.N, self.m, self.base, self.rungs + (rung,))
 
     def sort_key(self):
         return (len(self.rungs), tuple((r.pos, r.sign, r.thickness) for r in self.rungs), tuple(self.base))
@@ -243,14 +248,8 @@ class Ladder:
 
 def make_ladder(N, m, base, rungs):
     """Ladder or Zero, without raising on out-of-range intermediate weights."""
-    base = GlWeight(base)
-    if not base.valid(N):
+    if slices(N, base, rungs) is Zero:
         return Zero
-    k = base
-    for r in rungs:
-        k = apply_rung(k, r, N)
-        if k is Zero:
-            return Zero
     return Ladder(N, m, base, tuple(rungs))
 
 

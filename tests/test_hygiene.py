@@ -59,6 +59,19 @@ def test_private_helpers_have_library_callers():
     assert sorted(helpers - loaded) == []
 
 
+def test_only_webs_slices_applies_rungs():
+    # a rung list's slice weights come from webs.slices or the copy a Ladder
+    # keeps, so no other code steps through rungs with apply_rung
+    loads = set()
+    for path in sorted((ROOT / "src" / "qwebs").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name == "apply_rung" and isinstance(node.ctx, ast.Load):
+                    loads.add((path.name, getattr(top, "name", None)))
+    assert loads == {("webs.py", "slices")}
+
+
 def test_layer_trace_targets_resolve():
     # perfbench/layertrace.py wraps qwebs names by string and fails at
     # install time when one is renamed or deleted; it is read, not edited

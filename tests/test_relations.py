@@ -55,6 +55,23 @@ def test_out_of_range_is_vacuous():
     assert verify_relation(RelationInstance("parallel-square", (-1, 2, 1, 1)), 2)
 
 
+def test_unknown_rules_raise():
+    with pytest.raises(ValueError, match="bogus"):
+        verify_report(3, ["bogus"])
+    with pytest.raises(ValueError, match=r"unknown rule\(s\) bogus, pentagon"):
+        relation_instances(3, ["digon", "bogus", "pentagon"])
+
+
+def test_zero_web_is_a_value():
+    lad = make_ladder(2, 2, (2, 0), [Rung(1, 1, 1)])
+    assert lad is Zero
+    assert repfun.ev_closed(lad) == LaurentPoly.zero()
+    assert reduce_to_highest(lad) == LaurentPoly.zero()
+    assert simplify(lad) is Zero
+    with pytest.raises(ValueError):
+        repfun.ladder_matrix(lad)
+
+
 def test_instance_enumeration_small():
     digons = [i for i in relation_instances(2, ["digon"])]
     assert [i.labels for i in digons] == [(0, 1), (0, 2), (1, 1)]

@@ -22,7 +22,9 @@ from qwebs.webs import (
     phi,
     reflect,
     sl_weight_of,
+    slices,
 )
+from qwebs import webs
 
 
 def random_ladder(rng, N=None, m=None, max_rungs=4):
@@ -155,6 +157,71 @@ def test_ladder_weights():
     lad = Ladder(2, 2, GlWeight((2, 0)), (Rung(1, -1, 1), Rung(1, 1, 1)))
     assert lad.weights() == [(2, 0), (1, 1), (2, 0)]
     assert lad.top == (2, 0)
+
+
+def _hand_walk(N, base, rungs):
+    """Slice weights by one apply_rung per rung, or Zero; the oracle of slices."""
+    ks = [GlWeight(base)]
+    if not ks[0].valid(N):
+        return Zero
+    for r in rungs:
+        ks.append(apply_rung(ks[-1], r, N))
+        if ks[-1] is Zero:
+            return Zero
+    return tuple(ks)
+
+
+def test_slices_match_hand_walk():
+    rng = random.Random(31)
+    seen = {"live": 0, "dies": 0, "bad base": 0}
+    for _ in range(400):
+        N, m = rng.randint(2, 4), rng.randint(2, 4)
+        base = [rng.randint(-1, N + 1) if rng.random() < 0.1 else rng.randint(0, N)
+                for _ in range(m)]
+        rungs = [Rung(rng.randint(1, m - 1), rng.choice((1, -1)), rng.randint(1, N))
+                 for _ in range(rng.randint(0, 5))]
+        want = _hand_walk(N, base, rungs)
+        assert slices(N, base, rungs) == want
+        lad = make_ladder(N, m, base, rungs)
+        assert (lad is Zero) == (want is Zero)
+        if want is Zero:
+            seen["bad base" if not GlWeight(base).valid(N) else "dies"] += 1
+            continue
+        seen["live"] += 1
+        assert lad.top == want[-1]
+        assert lad.weights() == list(want)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_slices_edge_cases():
+    e1, f1 = Rung(1, 1, 1), Rung(1, -1, 1)
+    assert slices(3, (1, 2), ()) == ((1, 2),)
+    assert slices(2, (1, 1), [e1, f1]) == ((1, 1), (2, 0), (1, 1))
+    # dies mid-way: the second E1 would take the left upright to 3
+    assert slices(2, (1, 1), [e1, e1, f1]) is Zero
+    assert slices(2, (3, 0), ()) is Zero
+    assert slices(2, (-1, 2), [e1]) is Zero
+    with pytest.raises(ValueError):
+        slices(2, (1, 1), [Rung(2, 1, 1)])
+    with pytest.raises(ValueError):
+        Ladder(2, 2, GlWeight((1, 1)), (Rung(2, 1, 1),))
+
+
+def test_ladder_reads_stored_slices(monkeypatch):
+    rungs = (Rung(1, -1, 2), Rung(2, -1, 1), Rung(1, 1, 1))
+    lad = Ladder(3, 3, GlWeight((3, 0, 0)), rungs)
+    twin = Ladder(3, 3, GlWeight((3, 0, 0)), rungs)
+
+    def no_walk(*args):
+        raise AssertionError("slice weights walked again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(webs, "apply_rung", no_walk)
+        assert lad.top == (2, 0, 1)
+        assert lad.weights() == [(3, 0, 0), (1, 2, 0), (1, 1, 1), (2, 0, 1)]
+    # the stored slices are not a field
+    assert lad == twin and hash(lad) == hash(twin)
+    assert "_slices" not in repr(lad)
 
 
 def test_compose_and_mismatch():
