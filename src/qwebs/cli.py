@@ -25,7 +25,7 @@ import json
 import sys
 
 from .mfcore import IrreducibleToFinite, compile_web, dump_mf, ext_qdim
-from .relations import RULES, verify_report
+from .relations import verify_report
 from .repfun import ev_closed, web_form
 from .webs import Ladder, Rung, Zero, enumerate_weights, ladder_from_sequence
 
@@ -123,55 +123,33 @@ def _weight_str(k):
     return "[" + ",".join(str(x) for x in k) + "]"
 
 
-def _emit(text):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 # ----------------------------------------------------------------- handlers
+#
+# Each handler returns its plain output lines and its JSON record; run writes
+# one of them.
 
 
 def _cmd_enumerate(ns):
     p = _params(ns.params, ("m", "d", "N"))
     weights = enumerate_weights(p["m"], p["d"], p["N"])
-    if ns.json:
-        _emit_json({"weights": [list(k) for k in weights]})
-    else:
-        for k in weights:
-            _emit(_weight_str(k))
-    return 0
+    return [_weight_str(k) for k in weights], {"weights": [list(k) for k in weights]}
 
 
 def _cmd_ladder(ns):
     p = _params(ns.params, ("N", "m", "d", "lambda", "seq"))
     lad = ladder_from_sequence(p["seq"], p["lambda"], p["m"], p["d"], p["N"])
     text = "ZERO" if lad is Zero else str(lad)
-    if ns.json:
-        _emit_json({"ladder": text})
-    else:
-        _emit(text)
-    return 0
+    return [text], {"ladder": text}
 
 
 def _cmd_eval(ns):
-    value = ev_closed(_parse_web(ns.web))
-    if ns.json:
-        _emit_json({"value": str(value)})
-    else:
-        _emit(str(value))
-    return 0
+    value = str(ev_closed(_parse_web(ns.web)))
+    return [value], {"value": value}
 
 
 def _cmd_form(ns):
-    value = web_form(_parse_web(ns.left), _parse_web(ns.right))
-    if ns.json:
-        _emit_json({"value": str(value)})
-    else:
-        _emit(str(value))
-    return 0
+    value = str(web_form(_parse_web(ns.left), _parse_web(ns.right)))
+    return [value], {"value": value}
 
 
 def _cmd_gram(ns):
@@ -194,59 +172,41 @@ def _cmd_gram(ns):
             if not v.is_zero():
                 entries.append((i, j, v))
     gens = ["ZERO" if l is Zero else str(l) for l in lads]
-    if ns.json:
-        _emit_json({
-            "size": n,
-            "gens": gens,
-            "entries": [{"row": i, "col": j, "value": str(v)} for i, j, v in entries],
-        })
-    else:
-        lines = [f"size {n}"]
-        lines += [f"gen {i} {g}" for i, g in enumerate(gens)]
-        lines += [f"entry {i} {j} {v}" for i, j, v in entries]
-        _emit("\n".join(lines))
-    return 0
+    lines = [f"size {n}"]
+    lines += [f"gen {i} {g}" for i, g in enumerate(gens)]
+    lines += [f"entry {i} {j} {v}" for i, j, v in entries]
+    return lines, {
+        "size": n,
+        "gens": gens,
+        "entries": [{"row": i, "col": j, "value": str(v)} for i, j, v in entries],
+    }
 
 
 def _cmd_verify_relations(ns):
     p = _params(ns.params, ("N",), ("rules",))
-    rules = p.get("rules")
-    if rules:
-        bad = [r for r in rules if r not in RULES]
-        if bad:
-            raise CliError(
-                f"unknown rule(s) {', '.join(bad)} (available: {', '.join(RULES)})"
-            )
-    lines = verify_report(p["N"], rules)
+    lines = verify_report(p["N"], p.get("rules"))
     failed = sum(1 for line in lines if line.endswith(" FAIL"))
-    summary = f"summary: {len(lines)} checked, {len(lines) - failed} passed, {failed} failed"
-    if ns.json:
-        _emit_json({"lines": lines, "checked": len(lines),
-                    "passed": len(lines) - failed, "failed": failed})
-    else:
-        _emit("\n".join(lines + [summary]))
-    return 2 if failed else 0
+    passed = len(lines) - failed
+    summary = f"summary: {len(lines)} checked, {passed} passed, {failed} failed"
+    return lines + [summary], {"lines": lines, "checked": len(lines),
+                               "passed": passed, "failed": failed}
 
 
 def _cmd_compile_mf(ns):
     mf = compile_web(_parse_web(ns.web))
-    if ns.json:
-        _emit_json({
-            "N": mf.N,
-            "ring": [
-                {"var": f"{name}.{j}", "degree": 2 * j, "alphabet": name}
-                for name, idx in mf.gr.alphabets
-                for j in idx
-            ],
-            "rows": [{"p": str(p), "q": str(q)} for p, q, _, _ in mf.rows],
-            "qshift": mf.qshift,
-            "hshift": mf.hshift,
-            "basemodule": list(mf.basemodule),
-            "boundary": dict(mf.boundary),
-        })
-    else:
-        _emit(dump_mf(mf))
-    return 0
+    return dump_mf(mf).splitlines(), {
+        "N": mf.N,
+        "ring": [
+            {"var": f"{name}.{j}", "degree": 2 * j, "alphabet": name}
+            for name, idx in mf.gr.alphabets
+            for j in idx
+        ],
+        "rows": [{"p": str(p), "q": str(q)} for p, q, _, _ in mf.rows],
+        "qshift": mf.qshift,
+        "hshift": mf.hshift,
+        "basemodule": list(mf.basemodule),
+        "boundary": dict(mf.boundary),
+    }
 
 
 def _cmd_ext_dim(ns):
@@ -254,12 +214,8 @@ def _cmd_ext_dim(ns):
     right = compile_web(_parse_web(ns.right))
     if left.boundary != right.boundary:
         raise CliError("webs have different boundaries")
-    h0, h1 = ext_qdim(left, right)
-    if ns.json:
-        _emit_json({"dim0": str(h0), "dim1": str(h1)})
-    else:
-        _emit(f"dim0: {h0}\ndim1: {h1}")
-    return 0
+    h0, h1 = (str(h) for h in ext_qdim(left, right))
+    return [f"dim0: {h0}", f"dim1: {h1}"], {"dim0": h0, "dim1": h1}
 
 
 # ----------------------------------------------------------------- dispatch
@@ -306,17 +262,24 @@ def _build_parser():
 
 
 def run(argv):
-    """Parse argv (no program name), execute, return the exit code."""
+    """Parse argv (no program name), execute, write stdout in the chosen
+    format and return the exit code."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        return ns.handler(ns)
+        lines, record = ns.handler(ns)
     except IrreducibleToFinite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if ns.json:
+        sys.stdout.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    # only a relation sweep's record counts failures; one FAIL line exits 2
+    return 2 if record.get("failed") else 0
 
 
 def main(argv=None):

@@ -636,8 +636,9 @@ def exclude_variables(mf):
     cur = mf
     idle = 0
     while True:
-        for p, q, _, _ in cur.rows:
-            if (p.is_constant() and not p.is_zero()) or (q.is_constant() and not q.is_zero()):
+        # a nonzero entry is a scalar exactly when its stored degree is 0
+        for p, q, dp, dq in cur.rows:
+            if (dp == 0 and not p.is_zero()) or (dq == 0 and not q.is_zero()):
                 return _zero_object(cur.N)
         internals = _internal_vars(cur)
         nxt = _linear_once(cur, internals)

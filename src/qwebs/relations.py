@@ -26,12 +26,21 @@ CONVENTIONS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .qpoly import LaurentPoly, qbinom, qbinom_ext
 from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, highest_weight_ladder, slices
 from .repfun import _maps_agree, web_form
 
-RULES = ("digon", "opposite-digon", "associativity", "parallel-square", "opposite-square")
+# each rule's label letters, in the order RelationInstance.labels holds them
+_LABELS = {
+    "digon": "ab",
+    "opposite-digon": "ab",
+    "associativity": "abc",
+    "parallel-square": "abst",
+    "opposite-square": "abst",
+}
+RULES = tuple(_LABELS)
 
 
 class NegativeCoefficient(ValueError):
@@ -52,14 +61,7 @@ class RelationInstance:
             raise ValueError("position starts at 1")
 
     def label_str(self):
-        names = {
-            "digon": "ab",
-            "opposite-digon": "ab",
-            "associativity": "abc",
-            "parallel-square": "abst",
-            "opposite-square": "abst",
-        }[self.rule]
-        return " ".join(f"{n}={v}" for n, v in zip(names, self.labels))
+        return " ".join(f"{n}={v}" for n, v in zip(_LABELS[self.rule], self.labels))
 
 
 def _board(position, pair_labels):
@@ -87,19 +89,46 @@ def _sides_equal(N, base, lhs, rhs):
     return not tops or (len(tops) == 1 and _maps_agree(N, base, *sides))
 
 
+def _fits(rule, labels, N):
+    """Which of the rule's two presentations fit inside [0, N], as a pair in
+    the order _relation_sides yields them.
+
+    A digon or associativity instance and its mirror fit together. A square
+    has an F-first and an E-first presentation; each fits when its slice
+    weights after the base stay in [0, N]. A base off [0, N] is left to
+    _sides_equal, which drops it as the zero web.
+    """
+    if rule in ("digon", "opposite-digon"):
+        a, b = labels
+        outer = a + b if rule == "digon" else N - a
+        ok = a >= 0 and 1 <= b <= outer <= N
+        return ok, ok
+    if rule == "associativity":
+        ok = min(labels) >= 1 and sum(labels) <= N
+        return ok, ok
+    a, b, s, t = labels
+    if s < 1 or t < 1:
+        return False, False
+    if rule == "parallel-square":
+        return (a - s - t >= 0 and b + s + t <= N,
+                a + s + t <= N and b - s - t >= 0)
+    return (a - s >= 0 and b + s <= N and a - s + t <= N and b + s - t >= 0,
+            a + s <= N and b - s >= 0 and a + s - t >= 0 and b - s + t <= N)
+
+
 def _relation_sides(inst, N):
-    """The (base, lhs, rhs) comparisons of one instance; none when its labels
-    are out of range, since the instance is then vacuous."""
+    """The (base, lhs, rhs) comparisons of the instance's presentations that
+    _fits marks; none when its labels are out of range, since the instance is
+    then vacuous."""
     pos = inst.position
     one = LaurentPoly.one()
+    first, second = _fits(inst.rule, inst.labels, N)
+    if not (first or second):
+        return
 
     if inst.rule in ("digon", "opposite-digon"):
         a, b = inst.labels
-        if b < 1 or a < 0:
-            return
         outer = a + b if inst.rule == "digon" else N - a
-        if outer > N or b > outer:
-            return
         coeff = qbinom(outer, b) if inst.rule == "opposite-digon" else qbinom(a + b, a)
         # loop on the right of the main upright
         yield (_board(pos, (outer, 0)),
@@ -112,8 +141,6 @@ def _relation_sides(inst, N):
 
     elif inst.rule == "associativity":
         a, b, c = inst.labels
-        if min(a, b, c) < 1 or a + b + c > N:
-            return
         yield (_board(pos, (a, b, c)),
                [(one, [Rung(pos, 1, b), Rung(pos + 1, 1, c), Rung(pos, 1, c)])],
                [(one, [Rung(pos + 1, 1, c), Rung(pos, 1, b + c)])])
@@ -124,49 +151,31 @@ def _relation_sides(inst, N):
 
     elif inst.rule == "parallel-square":
         a, b, s, t = inst.labels
-        if s < 1 or t < 1:
-            return
         coeff = qbinom(s + t, t)
-        if a - s - t >= 0 and b + s + t <= N and a <= N and b >= 0:
-            yield (_board(pos, (a, b)),
-                   [(one, [Rung(pos, -1, s), Rung(pos, -1, t)])],
-                   [(coeff, [Rung(pos, -1, s + t)])])
-        if a + s + t <= N and b - s - t >= 0:
-            yield (_board(pos, (a, b)),
-                   [(one, [Rung(pos, 1, s), Rung(pos, 1, t)])],
-                   [(coeff, [Rung(pos, 1, s + t)])])
+        for fit, sign in ((first, -1), (second, 1)):
+            if fit:
+                yield (_board(pos, (a, b)),
+                       [(one, [Rung(pos, sign, s), Rung(pos, sign, t)])],
+                       [(coeff, [Rung(pos, sign, s + t)])])
 
-    elif inst.rule == "opposite-square":
+    else:
         a, b, s, t = inst.labels
-        if s < 1 or t < 1:
-            return
 
         def rungs_or_none(*specs):
             return [Rung(p, sg, th) for p, sg, th in specs if th > 0]
 
-        # F(s) then E(t) against sum of E(t-r) then F(s-r)
-        if 0 <= a - s and b + s <= N and a - s + t <= N and 0 <= b + s - t:
-            lhs = [(one, rungs_or_none((pos, -1, s), (pos, 1, t)))]
+        # F(s) then E(t) against sum of E(t-r) then F(s-r), and the mirror
+        # E(s) then F(t) against sum of F(t-r) then E(s-r)
+        for fit, sign, shift in ((first, -1, a - b + t - s), (second, 1, t - s - (a - b))):
+            if not fit:
+                continue
+            lhs = [(one, rungs_or_none((pos, sign, s), (pos, -sign, t)))]
             rhs = []
             for r in range(0, min(s, t) + 1):
-                c = qbinom_ext(a - b + t - s, r)
-                if c.is_zero():
-                    continue
-                rhs.append((c, rungs_or_none((pos, 1, t - r), (pos, -1, s - r))))
+                c = qbinom_ext(shift, r)
+                if not c.is_zero():
+                    rhs.append((c, rungs_or_none((pos, -sign, t - r), (pos, sign, s - r))))
             yield _board(pos, (a, b)), lhs, rhs
-        # mirror: E(s) then F(t) against sum of F(t-r) then E(s-r)
-        if a + s <= N and 0 <= b - s and 0 <= a + s - t and b - s + t <= N:
-            lhs = [(one, rungs_or_none((pos, 1, s), (pos, -1, t)))]
-            rhs = []
-            for r in range(0, min(s, t) + 1):
-                c = qbinom_ext(t - s - (a - b), r)
-                if c.is_zero():
-                    continue
-                rhs.append((c, rungs_or_none((pos, -1, t - r), (pos, 1, s - r))))
-            yield _board(pos, (a, b)), lhs, rhs
-
-    else:
-        raise ValueError(f"unknown rule {inst.rule!r}")
 
 
 def verify_relation(inst, N):
@@ -176,48 +185,18 @@ def verify_relation(inst, N):
 
 
 def relation_instances(N, rules=None):
-    """All admissible instances with labels bounded by N, deterministic order."""
-    if N < 2:
-        raise ValueError("need N >= 2")
+    """All admissible instances with labels bounded by N, deterministic order:
+    rules as given, then labels in lexicographic order."""
     rules = tuple(rules) if rules else RULES
     unknown = [rule for rule in rules if rule not in RULES]
     if unknown:
         raise ValueError(f"unknown rule(s) {', '.join(unknown)} (available: {', '.join(RULES)})")
-    out = []
-    for rule in rules:
-        if rule in ("digon", "opposite-digon"):
-            for a in range(0, N + 1):
-                for b in range(1, N + 1):
-                    if rule == "digon" and a + b > N:
-                        continue
-                    if rule == "opposite-digon" and (N - a < b):
-                        continue
-                    out.append(RelationInstance(rule, (a, b)))
-        elif rule == "associativity":
-            for a in range(1, N + 1):
-                for b in range(1, N + 1):
-                    for c in range(1, N + 1):
-                        if a + b + c <= N:
-                            out.append(RelationInstance(rule, (a, b, c)))
-        elif rule == "parallel-square":
-            for a in range(0, N + 1):
-                for b in range(0, N + 1):
-                    for s in range(1, N + 1):
-                        for t in range(1, N + 1):
-                            down = a - s - t >= 0 and b + s + t <= N
-                            up = a + s + t <= N and b - s - t >= 0
-                            if down or up:
-                                out.append(RelationInstance(rule, (a, b, s, t)))
-        elif rule == "opposite-square":
-            for a in range(0, N + 1):
-                for b in range(0, N + 1):
-                    for s in range(1, N + 1):
-                        for t in range(1, N + 1):
-                            fe = a - s >= 0 and b + s <= N and a - s + t <= N and b + s - t >= 0
-                            ef = a + s <= N and b - s >= 0 and a + s - t >= 0 and b - s + t <= N
-                            if fe or ef:
-                                out.append(RelationInstance(rule, (a, b, s, t)))
-    return out
+    if N < 2:
+        raise ValueError("need N >= 2")
+    return [RelationInstance(rule, labels)
+            for rule in rules
+            for labels in product(range(N + 1), repeat=len(_LABELS[rule]))
+            if any(_fits(rule, labels, N))]
 
 
 def verify_report(N, rules=None):

@@ -26,42 +26,29 @@ class NonIntegral(ValueError):
     """Raised when a normalization exponent fails to be an integer."""
 
 
-class _Star:
-    """Marker value for sl weights with no gl lift. A value, not an error."""
+class _Marker:
+    """A falsy named singleton. Star marks an sl weight with no gl lift, Zero
+    the zero web (a construction left the admissible range); both are values,
+    not errors."""
 
-    _instance = None
+    __slots__ = ("_name",)
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name):
+        self._name = name
 
     def __repr__(self):
-        return "Star"
+        return self._name
 
     def __bool__(self):
         return False
 
-
-class _Zero:
-    """Marker for the zero web (a construction left the admissible range)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Zero"
-
-    def __bool__(self):
-        return False
+    def __reduce__(self):
+        # copies and pickles resolve to the module's one instance
+        return self._name
 
 
-Star = _Star()
-Zero = _Zero()
+Star = _Marker("Star")
+Zero = _Marker("Zero")
 
 
 class GlWeight(tuple):
@@ -91,10 +78,6 @@ class SlWeight(tuple):
 
     def __repr__(self):
         return f"SlWeight{tuple(self)!r}"
-
-
-def sl_weight_of(k):
-    return GlWeight(k).sl()
 
 
 def phi(lmbda, m, d, N):
@@ -352,11 +335,8 @@ class WebLinComb:
                     raise WeightMismatch("ladder on a different board")
                 if tuple(lad.base) != tuple(self.base) or tuple(lad.top) != tuple(self.top):
                     raise WeightMismatch("ladder boundary differs from the combination's")
-                if lad in t:
-                    t[lad] = t[lad] + c
-                else:
-                    t[lad] = c
-        self._terms = {lad: c for lad, c in t.items() if not c.is_zero()}
+                t[lad] = c
+        self._terms = t
 
     @staticmethod
     def of(ladder, coeff=1):

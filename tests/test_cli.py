@@ -32,6 +32,14 @@ def test_enumerate_json(capsys):
     assert data == {"weights": [[2, 0], [1, 1], [0, 2]]}
 
 
+def test_enumerate_empty(capsys):
+    # no weight fits: plain output is zero bytes, not a bare newline
+    assert run(["enumerate", "m=2", "d=9", "N=2"]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(["enumerate", "--json", "m=2", "d=9", "N=2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"weights": []}
+
+
 def test_enumerate_missing_param(capsys):
     assert run(["enumerate", "m=2", "d=2"]) == 1
     assert "missing parameter N=" in capsys.readouterr().err
@@ -114,6 +122,9 @@ def test_verify_relations_rule_filter(capsys):
 
 def test_verify_relations_unknown_rule(capsys):
     assert run(["verify-relations", "N=2", "rules=pentagon"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown rule(s) pentagon (available: digon,")
+    # the rule names are checked before N
+    assert run(["verify-relations", "N=1", "rules=pentagon"]) == 1
     assert "unknown rule" in capsys.readouterr().err
 
 

@@ -91,3 +91,17 @@ def test_layer_trace_targets_resolve():
     # perfbench/worker.py reads the split cache's statistics
     from qwebs.repfun import split_matrix
     assert callable(split_matrix.cache_info)
+
+
+def test_only_cli_run_writes_stdout():
+    # handlers return their plain lines and JSON record; run alone picks the
+    # format and writes, so an option such as a stats dump has one place to go
+    writers = set()
+    for top in ast.parse((ROOT / "src" / "qwebs" / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                writers.add(getattr(top, "name", None))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                if not any(kw.arg == "file" for kw in node.keywords):
+                    writers.add(getattr(top, "name", None))
+    assert writers == {"run"}

@@ -522,6 +522,24 @@ def test_ext_of_zero_is_zero():
     assert h0.is_zero() and h1.is_zero()
 
 
+@pytest.mark.parametrize("hshift", [0, 1])
+def test_ext_readout_of_zero_rows(hshift):
+    # a row with both entries zero is the Koszul complex R -0-> R: it doubles
+    # the EXT space, the copy in odd h-degree shifted by q^((dq - dp)/2) as a
+    # flipped row's is (CONVENTIONS.md, Duals); an odd h-shift swaps h0, h1
+    gr = GradedRing([])
+    zero = gr.ring.zero()
+    point = KoszulMF(gr, [], 2)
+    rows = [(zero, zero, 0, 6), (zero, zero, 4, 2)]
+    mf = KoszulMF(gr, rows, 2, qshift=5, hshift=hshift)
+    h0, h1 = ext_qdim(point, mf)
+    assert (h0 + h1).evaluate(1) == 2 ** len(rows)
+    s1, s2 = (6 - 0) // 2, (2 - 4) // 2
+    even = LaurentPoly.q_power(5) * (LaurentPoly.one() + LaurentPoly.q_power(s1 + s2))
+    odd = LaurentPoly.q_power(5) * (LaurentPoly.q_power(s1) + LaurentPoly.q_power(s2))
+    assert (h0, h1) == ((odd, even) if hshift else (even, odd))
+
+
 def test_ext_matches_form_on_a_rung():
     from qwebs.repfun import web_form
 

@@ -81,6 +81,52 @@ def test_instance_enumeration_small():
     assert [i.labels for i in relation_instances(3, ["associativity"])] == [(1, 1, 1)]
 
 
+def _oracle_instances(N, rules):
+    """The label sets written out loop by loop, one rule at a time."""
+    out = []
+    for rule in rules:
+        if rule in ("digon", "opposite-digon"):
+            for a in range(0, N + 1):
+                for b in range(1, N + 1):
+                    if rule == "digon" and a + b > N:
+                        continue
+                    if rule == "opposite-digon" and (N - a < b):
+                        continue
+                    out.append(RelationInstance(rule, (a, b)))
+        elif rule == "associativity":
+            for a in range(1, N + 1):
+                for b in range(1, N + 1):
+                    for c in range(1, N + 1):
+                        if a + b + c <= N:
+                            out.append(RelationInstance(rule, (a, b, c)))
+        elif rule == "parallel-square":
+            for a in range(0, N + 1):
+                for b in range(0, N + 1):
+                    for s in range(1, N + 1):
+                        for t in range(1, N + 1):
+                            down = a - s - t >= 0 and b + s + t <= N
+                            up = a + s + t <= N and b - s - t >= 0
+                            if down or up:
+                                out.append(RelationInstance(rule, (a, b, s, t)))
+        elif rule == "opposite-square":
+            for a in range(0, N + 1):
+                for b in range(0, N + 1):
+                    for s in range(1, N + 1):
+                        for t in range(1, N + 1):
+                            fe = a - s >= 0 and b + s <= N and a - s + t <= N and b + s - t >= 0
+                            ef = a + s <= N and b - s >= 0 and a + s - t >= 0 and b - s + t <= N
+                            if fe or ef:
+                                out.append(RelationInstance(rule, (a, b, s, t)))
+    return out
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_instances_match_loop_oracle(N):
+    assert relation_instances(N) == _oracle_instances(N, relations.RULES)
+    rules = ["opposite-square", "digon"]
+    assert relation_instances(N, rules) == _oracle_instances(N, rules)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_full_sweep_passes(N):
     lines = verify_report(N)

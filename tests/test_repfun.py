@@ -326,6 +326,14 @@ def test_closed_circle_and_theta():
     assert ev_closed(c2) == qbinom(3, 2)
 
 
+def test_ev_closed_is_linear_on_combinations():
+    circle = Ladder(2, 2, GlWeight((2, 0)), (Rung(1, -1, 1), Rung(1, 1, 1)))
+    theta = Ladder(2, 2, GlWeight((2, 0)), (Rung(1, -1, 2), Rung(1, 1, 2)))
+    comb = WebLinComb(2, 2, (2, 0), (2, 0), {circle: Q(2), theta: 3})
+    assert ev_closed(comb) == Q(2) * (Q(1) + Q(-1)) + 3 * ONE
+    assert ev_closed(WebLinComb(2, 2, (2, 0), (2, 0))) == LaurentPoly.zero()
+
+
 def test_closed_bigon_on_partial_edge():
     # F(b) then E(b) with loop upright free: qbinom(outer, b) times identity
     for N in (2, 3):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,6 @@ from qwebs.webs import (
     make_ladder,
     phi,
     reflect,
-    sl_weight_of,
     slices,
 )
 from qwebs import webs
@@ -73,8 +74,11 @@ def test_phi_out_of_range_is_star():
     assert phi((4,), 2, 4, 3) is Star
 
 
-def test_sl_weight_of():
-    assert sl_weight_of((2, 0, 1)) == (2, -1)
+def test_markers_are_falsy_singletons():
+    assert (repr(Star), repr(Zero)) == ("Star", "Zero")
+    assert not Star and not Zero and Star is not Zero
+    assert copy.deepcopy(Zero) is Zero
+    assert pickle.loads(pickle.dumps(Star)) is Star
 
 
 def test_enumerate_weights():
