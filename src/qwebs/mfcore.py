@@ -233,19 +233,14 @@ def tensor_all(factors, N):
 
 
 def _index_map(alphabets, renames, ring):
-    """Position in ring of each generator of alphabets, named through renames."""
-    return [ring.index(f"{renames.get(n, n)}.{j}") for n, idx in alphabets for j in idx]
-
-
-def _relabel(terms, pos, width):
-    """Exponent dict moved into a ring of the given width by an index map."""
-    out = {}
-    for exps, v in terms.items():
-        e = [0] * width
-        for i, x in zip(pos, exps):
-            e[i] = x
-        out[tuple(e)] = v
-    return out
+    """The slot map of MultiPoly._moved from the generators of alphabets,
+    named through renames, into ring: for each generator of ring, its place
+    among them, or their count where it is not one of them."""
+    pos = [ring.index(f"{renames.get(n, n)}.{j}") for n, idx in alphabets for j in idx]
+    pick = [len(pos)] * len(ring)
+    for i, j in enumerate(pos):
+        pick[j] = i
+    return pick
 
 
 def _glue(placed, N):
@@ -253,7 +248,7 @@ def _glue(placed, N):
 
     Renaming is relabelling: generator j of alphabet n becomes generator j
     of renames.get(n, n), with the same degree. The amalgamated ring is built
-    once, each factor's rows are relabelled into it through one index map,
+    once, each factor's rows are moved into it through one slot map,
     and the result is checked once, by KoszulMF. Raises ValueError on a
     factor whose N differs, on one whose renames send two names to one, and
     on an alphabet carried with different index sets.
@@ -273,15 +268,14 @@ def _glue(placed, N):
             if alphs.setdefault(name, idx) != idx:
                 raise ValueError(f"alphabet size collision on {name}")
     gr = GradedRing(alphs.items())
-    ring, width = gr.ring, len(gr.ring)
+    ring = gr.ring
     rows = []
     boundary = {}
     qshift = hshift = 0
     base = (0,)
     for f, renames in placed:
-        pos = _index_map(f.gr.alphabets, renames, ring)
-        rows.extend((MultiPoly._raw(ring, _relabel(p._t, pos, width)),
-                     MultiPoly._raw(ring, _relabel(q._t, pos, width)), dp, dq)
+        pick = _index_map(f.gr.alphabets, renames, ring)
+        rows.extend((p._moved(ring, pick), q._moved(ring, pick), dp, dq)
                     for p, q, dp, dq in f.rows)
         for name, sign in f.boundary.items():
             name = renames.get(name, name)
@@ -296,15 +290,10 @@ def _glue(placed, N):
 # ------------------------------------------------- the one-column pieces
 
 
-@lru_cache(maxsize=None)
-def _power_sum(p, k):
-    return power_sum_in_e(p, k)
-
-
 def _p_at_slots(gr, N, slots):
     """power_sum_in_e(N+1, k) with the i-th elementary slot set to slots[i-1]."""
     k = len(slots)
-    P = _power_sum(N + 1, k)
+    P = power_sum_in_e(N + 1, k)
     mapping = {f"e{i}": slots[i - 1] for i in range(1, k + 1)}
     return P.substitute(mapping, ring=gr.ring)
 
@@ -434,16 +423,14 @@ def check_potential(mf):
     """Does the sum of p*q match the declared boundary potential? Each
     alphabet's power sum is the cached one over e1..ek, relabelled."""
     ring = mf.gr.ring
-    declared = {}
+    declared = ring.zero()
     for name, sign in mf.boundary.items():
         idx = mf.gr.indices(name)
-        k = len(idx)
-        if idx != tuple(range(1, k + 1)):
+        if idx != tuple(range(1, len(idx) + 1)):
             raise ValueError(f"boundary alphabet {name} is not contiguous")
-        pos = _index_map([(name, idx)], {}, ring)
-        for e, v in _relabel(_power_sum(mf.N + 1, k)._t, pos, len(ring)).items():
-            declared[e] = declared.get(e, 0) + sign * v
-    return mf.potential() == MultiPoly._raw(ring, declared)
+        pick = _index_map([(name, idx)], {}, ring)
+        declared = declared + sign * power_sum_in_e(mf.N + 1, len(idx))._moved(ring, pick)
+    return mf.potential() == declared
 
 
 # ------------------------------------------------------------- exclusion
@@ -481,20 +468,17 @@ def _eliminate(cur, r, name, flip, sol=None, basemodule=None):
     homogeneous of the degree of name keeps every row's stored degrees, so
     that is the one check; ValueError otherwise.
     """
-    i = cur.gr.ring.index(name)
+    ring = cur.gr.ring
+    i = ring.index(name)
     gr = cur.gr.without(name)
-
-    def drop(f):
-        return MultiPoly._raw(gr.ring, {e[:i] + e[i + 1:]: v for e, v in f._t.items()})
-    mapping = {}
+    keep = [*range(i), *range(i + 1, len(ring))]
+    subst = {}
     if sol is not None:
-        if sol.homogeneous_degree() not in (None, cur.gr.ring.degree_of(name)):
+        if sol.homogeneous_degree() not in (None, ring.degree_of(name)):
             raise ValueError(f"substitution for {name} changes its degree")
-        mapping[name] = drop(sol)
-
-    def move(f):
-        return f.substitute(mapping, gr.ring) if any(e[i] for e in f._t) else drop(f)
-    rows = [(move(p), move(q), dp, dq) for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
+        subst[i] = sol._moved(gr.ring, keep)
+    rows = [(p._moved(gr.ring, keep, subst), q._moved(gr.ring, keep, subst), dp, dq)
+            for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
     qsh, hsh = cur.qshift, cur.hshift
     if flip:
         _, _, dp, dq = cur.rows[r]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 
 class NonExactDivision(ArithmeticError):
@@ -30,6 +30,11 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
+
+
+def _slots(pick):
+    """The function taking an exponent tuple e to (e[i] for i in pick), as a tuple."""
+    return itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[i] for i in pick)
 
 
 def _mul_into(out, a, b):
@@ -547,16 +552,13 @@ class MultiPoly:
         return self._reindex({}, ring)
 
     def _reindex(self, mapping, ring):
-        """The path substitute and convert share: mapped generators are
-        replaced, the other used ones move to their index in ring by name."""
+        """The checks substitute and convert share, resolving the names of the
+        used generators to the slot map and substitutions of _moved."""
         if not mapping and ring == self.ring:
             return self
         gens = self.ring.gens
-        used = set()
-        for exps in self._t:
-            used.update(i for i, e in enumerate(exps) if e)
-        moved, subst = {}, {}
-        for i in sorted(used):
+        pick, subst = [len(gens)] * len(ring), {}
+        for i in sorted({i for exps in self._t for i, e in enumerate(exps) if e}):
             name, deg = gens[i]
             if name in mapping:
                 subst[i] = mapping[name]
@@ -565,26 +567,36 @@ class MultiPoly:
             elif ring.degree_of(name) != deg:
                 raise ValueError(f"generator {name} changes degree")
             else:
-                moved[i] = ring.index(name)
-        # terms grouped by their exponents on the substituted generators;
-        # within a group the moved exponents tell the terms apart
-        width = len(ring.gens)
+                pick[ring.index(name)] = i
+        return self._moved(ring, pick, subst)
+
+    def _moved(self, ring, pick, subst=None):
+        """This polynomial over ring, the one move between rings: target slot
+        j takes the exponent of source slot pick[j], or 0 where pick[j] is the
+        number of source slots, and each source slot in subst is replaced by
+        its value, a MultiPoly over ring. Other source slots must be unused."""
+        get = _slots(pick)
+        # a target slot with no source reads a 0 appended to each tuple
+        pad = (0,) if len(self.ring.gens) in pick else ()
+        used = [i for i in subst if any(e[i] for e in self._t)] if subst else ()
+        if not used:
+            return MultiPoly._raw(ring, {get(e + pad): v for e, v in self._t.items()})
+        # terms grouped by their exponents on the substituted slots; within a
+        # group the moved exponents tell the terms apart
+        key = _slots(used)
         groups = {}
-        for exps, v in self._t.items():
-            ne = [0] * width
-            for i, j in moved.items():
-                ne[j] = exps[i]
-            groups.setdefault(tuple(exps[i] for i in subst), {})[tuple(ne)] = v
-        # powers[k][e] is the k-th mapped value to the e >= 1, built once
+        for e, v in self._t.items():
+            groups.setdefault(key(e), {})[get(e + pad)] = v
+        # powers[k][e] is the k-th used value to the e >= 1, built once
         powers = []
-        for k, val in enumerate(subst.values()):
-            pw = [None, val._t]
-            for _ in range(max(key[k] for key in groups) - 1):
-                pw.append(_mul_into({}, pw[-1], val._t))
+        for k, i in enumerate(used):
+            pw = [None, subst[i]._t]
+            for _ in range(max(g[k] for g in groups) - 1):
+                pw.append(_mul_into({}, pw[-1], pw[1]))
             powers.append(pw)
         out = {}
-        for key, part in groups.items():
-            for pw, e in zip(powers, key):
+        for g, part in groups.items():
+            for pw, e in zip(powers, g):
                 if e:
                     part = _mul_into({}, part, pw[e])
             for e, v in part.items():
@@ -640,11 +652,13 @@ def elementary_ring(k):
     return PolyRing([(f"e{i}", 2 * i) for i in range(1, k + 1)])
 
 
+@lru_cache(maxsize=None)
 def power_sum_in_e(p, k):
     """The degree-2p power sum written in elementary generators e1..ek.
 
     Newton's identity, with e_i treated as zero above index k:
     p_n = sum_{i=1..min(n-1,k)} (-1)^(i-1) e_i p_{n-i} + (-1)^(n-1) n e_n.
+    Cached, so the result is shared and must not be changed in place.
     """
     if p < 1 or k < 1:
         raise ValueError("need p >= 1 and k >= 1")

@@ -816,6 +816,19 @@ def test_eliminate_matches_substitution_oracle(monkeypatch, sweep_webs):
     assert all(kinds.values()), kinds
 
 
+def test_exclusion_resolves_no_names(monkeypatch, sweep_webs):
+    # an elimination step moves every entry by slot, so no generator is
+    # looked up by name between compiling and reading off
+    want = [ext_qdim(a, b) for a, b in sweep_webs]
+
+    def refuse(*args, **kw):
+        raise AssertionError("an entry was moved by generator name")
+
+    monkeypatch.setattr(MultiPoly, "substitute", refuse)
+    monkeypatch.setattr(MultiPoly, "convert", refuse)
+    assert [ext_qdim(a, b) for a, b in sweep_webs] == want
+
+
 def test_eliminate_refuses_a_substitution_of_another_degree(monkeypatch):
     real = mfcore._linear_solution
 

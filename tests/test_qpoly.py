@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qwebs.qpoly import (
     LaurentPoly,
+    MultiPoly,
     NonExactDivision,
     PolyRing,
     bar,
@@ -196,6 +197,15 @@ def test_power_sum_numeric():
         assert power_sum_in_e(p, k).evaluate(values) == want
 
 
+def test_power_sum_is_cached_and_checks_every_call():
+    assert power_sum_in_e(4, 2) is power_sum_in_e(4, 2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            power_sum_in_e(0, 2)
+        with pytest.raises(ValueError):
+            power_sum_in_e(3, 0)
+
+
 # ----------------------------------------------------------------- multipolys
 
 
@@ -245,6 +255,138 @@ def test_multipoly_substitute_and_convert():
         big.var("a").substitute({"b": wide.var("a")}, wide)
     with pytest.raises(ValueError, match="wrong ring"):
         p.substitute({"a": small.var("a")}, big)
+
+
+def _times(a, b):
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + v1 * v2
+    return out
+
+
+def _reindex_by_name(f, mapping, ring):
+    """Reference ring transfer: each used generator is looked up by name,
+    mapped ones are substituted and the others placed one exponent at a time."""
+    if not mapping and ring == f.ring:
+        return f
+    gens = f.ring.gens
+    used = set()
+    for exps in f.terms():
+        used.update(i for i, e in enumerate(exps) if e)
+    moved, subst = {}, {}
+    for i in sorted(used):
+        name, deg = gens[i]
+        if name in mapping:
+            subst[i] = mapping[name]
+        elif name not in ring:
+            raise ValueError(f"generator {name} missing from target ring")
+        elif ring.degree_of(name) != deg:
+            raise ValueError(f"generator {name} changes degree")
+        else:
+            moved[i] = ring.index(name)
+    width = len(ring.gens)
+    groups = {}
+    for exps, v in f.terms().items():
+        ne = [0] * width
+        for i, j in moved.items():
+            ne[j] = exps[i]
+        groups.setdefault(tuple(exps[i] for i in subst), {})[tuple(ne)] = v
+    powers = []
+    for k, val in enumerate(subst.values()):
+        pw = [None, val.terms()]
+        for _ in range(max(key[k] for key in groups) - 1):
+            pw.append(_times(pw[-1], val.terms()))
+        powers.append(pw)
+    out = {}
+    for key, part in groups.items():
+        for pw, e in zip(powers, key):
+            if e:
+                part = _times(part, pw[e])
+        for e, v in part.items():
+            out[e] = out.get(e, 0) + v
+    return MultiPoly(ring, out)
+
+
+DEGREES = {"a": 2, "b": 2, "c": 4, "d": 2, "e": 6, "f": 4}
+
+
+def _random_ring(rng, size):
+    return PolyRing([(n, DEGREES[n]) for n in rng.sample(sorted(DEGREES), size)])
+
+
+def _random_poly(rng, ring, names, terms, top):
+    """Terms over the given generators of ring, coefficients ints or Fractions."""
+    out = {}
+    for _ in range(terms):
+        e = [0] * len(ring)
+        for n in names:
+            e[ring.index(n)] = rng.randint(0, top)
+        out[tuple(e)] = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    return MultiPoly(ring, out)
+
+
+def _assert_moves_alike(f, mapping, ring):
+    try:
+        want = _reindex_by_name(f, mapping, ring)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=str(err)):
+            f.substitute(mapping, ring)
+        return False
+    got = f.substitute(mapping, ring)
+    assert got == want and str(got) == str(want), (str(f), mapping, ring)
+    assert all(got.terms().values())
+    if not mapping:
+        assert f.convert(ring) == want
+    return True
+
+
+def test_ring_transfer_matches_name_oracle():
+    # permuted, dropped and padded slots, target widths 0 to 4, substituted
+    # slots at exponents up to 4 and values that make terms cancel
+    rng = random.Random(15)
+    moved = substituted = 0
+    for _ in range(600):
+        src = _random_ring(rng, rng.randint(0, 4))
+        dst = _random_ring(rng, rng.randint(0, 4))
+        names = src.names()
+        mapping = {n: _random_poly(rng, dst, rng.sample(dst.names(), min(len(dst), 2)),
+                                   rng.randint(0, 2), 1)
+                   for n in names if rng.random() < (0.3 if n in dst else 0.9)}
+        # a generator that is neither mapped nor in dst is used only sometimes,
+        # so that the missing-generator check is reached as well
+        used = [n for n in names if n in mapping or n in dst or rng.random() < 0.5]
+        f = _random_poly(rng, src, used, rng.randint(0, 5), 4)
+        if _assert_moves_alike(f, mapping, dst):
+            moved += 1
+            substituted += any(f.uses(n) for n in mapping)
+    assert moved > 300 and substituted > 100 and moved < 600
+
+
+def test_ring_transfer_edge_cases_match_name_oracle():
+    ab = PolyRing([("a", 2), ("b", 2)])
+    a, b = ab.var("a"), ab.var("b")
+    empty = PolyRing([])
+    one = PolyRing([("c", 2)])
+    c = one.var("c")
+    cases = [
+        # target width 0: constants, and every generator substituted by one
+        (ab.const(Fraction(3, 4)), {}, empty),
+        (a ** 3 * b - 2 * b ** 4, {"a": empty.const(2), "b": empty.const(Fraction(1, 3))}, empty),
+        # target width 1, moved and substituted
+        (PolyRing([("c", 2), ("a", 2)]).var("c") ** 3, {}, one),
+        (a ** 3 - 2 * a * b ** 4, {"a": c * Fraction(1, 2), "b": -c}, one),
+        # terms that cancel to zero, partly and wholly
+        (a ** 3 - b ** 3 + a, {"a": c, "b": c}, one),
+        (a * b ** 3 - a ** 3 * b, {"a": c, "b": c}, one),
+        # a slot substituted while the others are permuted and padded
+        (a ** 4 * b ** 3 + 5 * b, {"a": PolyRing([("d", 2), ("b", 2), ("e", 6)]).var("d") * 3},
+         PolyRing([("d", 2), ("b", 2), ("e", 6)])),
+    ]
+    for f, mapping, ring in cases:
+        assert _assert_moves_alike(f, mapping, ring)
+    assert (a * b ** 3 - a ** 3 * b).substitute({"a": c, "b": c}, one).terms() == {}
 
 
 def test_multipoly_homogeneity_check():
