@@ -75,17 +75,6 @@ class GradedRing:
     def var(self, name, j):
         return self.ring.var(f"{name}.{j}")
 
-    def without(self, varname):
-        """This ring without one generator, sliced from this one's tuples."""
-        alph, j = varname.rsplit(".", 1)
-        j = int(j)
-        out = object.__new__(GradedRing)
-        out.alphabets = tuple((n, idx) for n, idx in (
-            (n, tuple(i for i in idx if i != j) if n == alph else idx)
-            for n, idx in self.alphabets) if idx)
-        out.ring = self.ring._without(self.ring.index(varname))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, GradedRing) and self.alphabets == other.alphabets
 
@@ -195,10 +184,10 @@ def dual(mf):
     adds one h-shift and deg x - N - 1 to the q-shift (CONVENTIONS.md).
     """
     rows = tuple((-q, p, dq, dp) for p, q, dp, dq in mf.rows)
-    internals = _internal_vars(mf)
+    internals = _internal_slots(mf)
     return KoszulMF._raw(
         mf.gr, rows, mf.N,
-        -mf.qshift + sum(mf.gr.ring.degree_of(x) - mf.N - 1 for x in internals),
+        -mf.qshift + sum(mf.gr.ring.gens[i][1] - mf.N - 1 for i in internals),
         (mf.hshift + len(internals)) % 2,
         tuple(sorted(-d for d in mf.basemodule)),
         {n: -s for n, s in mf.boundary.items()},
@@ -446,9 +435,10 @@ def _zero_object(N):
     return KoszulMF(GradedRing([]), [], N, basemodule=())
 
 
-def _internal_vars(mf):
+def _internal_slots(mf):
+    """The slots, in ring order, of the generators outside the boundary alphabets."""
     protected = set(mf.boundary)
-    return [n for n, _ in mf.gr.ring.gens
+    return [i for i, (n, _) in enumerate(mf.gr.ring.gens)
             if n.rsplit(".", 1)[0] not in protected]
 
 
@@ -457,44 +447,60 @@ def _flipped(qshift, hshift, dp, dq):
     return qshift + (dq - dp) // 2, hshift ^ 1
 
 
-def _eliminate(cur, r, name, flip, sol=None, basemodule=None):
-    """Drop row r and the internal variable name, which that row presents.
+def _eliminate(cur, r, i, flip, sol=None, basemodule=None):
+    """Drop row r, which presents the internal generator in slot i.
 
-    The other rows move into the ring without name: an entry that does not
-    use name loses its exponent slot, one that does has sol substituted for
-    name. flip says the row's p-entry, not its q-entry, is the one that
-    presents name, which costs the row's flip shifts. basemodule, when
-    given, replaces cur's and must be sorted. A sol that is zero or
-    homogeneous of the degree of name keeps every row's stored degrees, so
-    that is the one check; ValueError otherwise.
+    The ring stays cur's: each entry that uses slot i has sol substituted,
+    and every other entry is kept as it is. flip says the row's p-entry, not
+    its q-entry, presents the generator, which costs the row's flip shifts.
+    basemodule, when given, replaces cur's and must be sorted. A sol that is
+    zero or homogeneous of the generator's degree keeps every row's stored
+    degrees, so that is the one check; ValueError otherwise.
     """
     ring = cur.gr.ring
-    i = ring.index(name)
-    gr = cur.gr.without(name)
-    keep = [*range(i), *range(i + 1, len(ring))]
-    subst = {}
+    rows = [row for j, row in enumerate(cur.rows) if j != r]
     if sol is not None:
-        if sol.homogeneous_degree() not in (None, ring.degree_of(name)):
+        name, deg = ring.gens[i]
+        if sol.homogeneous_degree() not in (None, deg):
             raise ValueError(f"substitution for {name} changes its degree")
-        subst[i] = sol._moved(gr.ring, keep)
-    rows = [(p._moved(gr.ring, keep, subst), q._moved(gr.ring, keep, subst), dp, dq)
-            for j, (p, q, dp, dq) in enumerate(cur.rows) if j != r]
+        # slot i reads the 0 that _moved appends, and sol is multiplied in
+        pick = [*range(len(ring))]
+        pick[i] = len(ring)
+        subst = {i: sol}
+
+        def put(f):
+            return f._moved(ring, pick, subst) if any(e[i] for e in f._t) else f
+        rows = [(put(p), put(q), dp, dq) for p, q, dp, dq in rows]
     qsh, hsh = cur.qshift, cur.hshift
     if flip:
         _, _, dp, dq = cur.rows[r]
         qsh, hsh = _flipped(qsh, hsh, dp, dq)
-    return KoszulMF._raw(gr, rows, cur.N, qsh, hsh,
+    return KoszulMF._raw(cur.gr, rows, cur.N, qsh, hsh,
                          cur.basemodule if basemodule is None else basemodule, cur.boundary)
 
 
-def _linear_once(cur, internals):
+def _dropped(cur, gone):
+    """cur over the ring without the generators in slots gone, which no entry
+    uses: that ring is built once, and each entry moves into it once."""
+    if not gone:
+        return cur
+    slot = count()  # the ring's slots run through the alphabets in order
+    gr = GradedRing([(n, [j for j in idx if next(slot) not in gone])
+                     for n, idx in cur.gr.alphabets])
+    pick = [i for i in range(len(cur.gr.ring)) if i not in gone]
+    rows = [(p._moved(gr.ring, pick), q._moved(gr.ring, pick), dp, dq)
+            for p, q, dp, dq in cur.rows]
+    return KoszulMF._raw(gr, rows, cur.N, cur.qshift, cur.hshift,
+                         cur.basemodule, cur.boundary)
+
+
+def _linear_once(cur, slots):
     """Eliminate the first entry c*x - g: rows in order, q before p, then x.
 
-    Each entry is read once: the candidates are the internal slots that
-    carry a bare c*x term and that no other term of the entry uses.
+    Each entry is read once: the candidates are the live internal slots that
+    carry a bare c*x term and that no other term of the entry uses. Returns
+    the result and the slot of x, or None.
     """
-    ring = cur.gr.ring
-    slots = [ring.index(n) for n in internals]
     for r, (p, q, _, _) in enumerate(cur.rows):
         for flip, entry in ((False, q), (True, p)):
             units, used = {}, set()
@@ -503,44 +509,43 @@ def _linear_once(cur, internals):
                     units[exps.index(1)] = v
                 else:
                     used.update(t for t, e in enumerate(exps) if e)
-            for i, name in zip(slots, internals):
+            for i in slots:
                 if i in units and i not in used:
-                    return _eliminate(cur, r, name, flip,
-                                      sol=_linear_solution(entry, i, units[i]))
+                    sol = _linear_solution(entry, i, units[i])
+                    return _eliminate(cur, r, i, flip, sol=sol), i
     return None
 
 
-def _absorb_once(cur, internals):
+def _absorb_once(cur, slots):
     """Fold a one-sided monic row into the base module.
 
     A row (0, f) where f = c*x^k + lower x-terms, x internal, c a scalar
     and x absent from every other row presents a summand free of rank k
     over the ring without x, with generators in degrees 0, |x|, ...,
     (k-1)|x|. A row (g, 0) of that shape does the same after a flip.
-    Monicity is equivalent to k*|x| being the whole entry degree.
+    Monicity is equivalent to k*|x| being the whole entry degree. Returns
+    the result and the slot of x, or None.
     """
-    ring = cur.gr.ring
+    gens = cur.gr.ring.gens
     for r, (p, q, dp, dq) in enumerate(cur.rows):
         if p.is_zero() == q.is_zero():
             continue
         flip = q.is_zero()
         entry, dd = (p, dp) if flip else (q, dq)
-        for name in internals:
-            i = ring.index(name)
+        for i in slots:
             k = max((exps[i] for exps in entry._t), default=0)
-            step = ring.degree_of(name)
+            step = gens[i][1]
             if k == 0 or k * step != dd:
                 continue
-            if any(f.uses(name)
-                   for j, (po, qo, _, _) in enumerate(cur.rows) if j != r
-                   for f in (po, qo)):
+            if any(e[i] for j, (po, qo, _, _) in enumerate(cur.rows) if j != r
+                   for f in (po, qo) for e in f._t):
                 continue
             bm = tuple(sorted(m + j * step for m in cur.basemodule for j in range(k)))
-            return _eliminate(cur, r, name, flip, basemodule=bm)
+            return _eliminate(cur, r, i, flip, basemodule=bm), i
     return None
 
 
-def _rref_once(cur, internals):
+def _rref_once(cur, slots):
     """One Gauss-Jordan sweep over same-degree row groups, paired on both sides.
 
     Adding lam * (entry of row j) to the same-side entry of row i is an
@@ -548,12 +553,10 @@ def _rref_once(cur, internals):
     row j, so the sweep eliminates monomials heavy in internal variables
     while keeping the potential fixed. Returns None when nothing moved.
     """
-    ring = cur.gr.ring
-    iset = {ring.index(n) for n in internals}
-    degs = tuple(deg for _, deg in ring.gens)
+    degs = tuple(deg for _, deg in cur.gr.ring.gens)
 
     def weight(exps):
-        return sum(exps[t] * degs[t] for t in iset)
+        return sum(exps[t] * degs[t] for t in slots)
 
     rows = [list(row) for row in cur.rows]
     for side in (1, 0):
@@ -615,28 +618,29 @@ def exclude_variables(mf):
     row-operation sweep tries to expose new linear entries. Variables of
     declared boundary alphabets are never touched. After MAX_IDLE_SWEEPS
     sweeps in a row that removed no variable, IrreducibleToFinite is raised
-    instead of sweeping again.
+    instead of sweeping again. The contraction works in mf's ring, where a
+    removed variable's slot stays unused; the result's ring drops the removed
+    variables once, on the way out, and keeps every other generator.
     """
     cur = mf
+    slots = _internal_slots(mf)
     idle = 0
     while True:
         # a nonzero entry is a scalar exactly when its stored degree is 0
         for p, q, dp, dq in cur.rows:
             if (dp == 0 and not p.is_zero()) or (dq == 0 and not q.is_zero()):
                 return _zero_object(cur.N)
-        internals = _internal_vars(cur)
-        nxt = _linear_once(cur, internals)
-        if nxt is None:
-            nxt = _absorb_once(cur, internals)
-        if nxt is not None:
-            cur, idle = nxt, 0
+        step = _linear_once(cur, slots) or _absorb_once(cur, slots)
+        if step is not None:
+            (cur, i), idle = step, 0
+            slots.remove(i)
             continue
         if idle == MAX_IDLE_SWEEPS:
             raise IrreducibleToFinite(
                 f"{idle} row-operation sweeps in a row removed no variable")
-        nxt = _rref_once(cur, internals)
+        nxt = _rref_once(cur, slots)
         if nxt is None:
-            return cur
+            return _dropped(cur, set(_internal_slots(mf)).difference(slots))
         cur, idle = nxt, idle + 1
 
 

@@ -321,15 +321,6 @@ class PolyRing:
     def names(self):
         return self._names
 
-    def _without(self, i):
-        """Internal: this ring without generator i, its tuples sliced."""
-        out = object.__new__(PolyRing)
-        out.gens = self.gens[:i] + self.gens[i + 1:]
-        out._names = self._names[:i] + self._names[i + 1:]
-        out._degs = self._degs[:i] + self._degs[i + 1:]
-        out._index = {name: k for k, name in enumerate(out._names)}
-        return out
-
     def degree_of(self, name):
         return self.gens[self._index[name]][1]
 

@@ -76,6 +76,21 @@ def test_only_webs_slices_applies_rungs():
     assert loads == {("webs.py", "slices")}
 
 
+def test_mfcore_builds_few_graded_rings():
+    # a contraction keeps its input's ring and drops the removed generators
+    # once, in _dropped, so no elimination step builds a smaller ring, by the
+    # constructor or by object.__new__; methods are named by their class
+    loads = set()
+    for top in ast.parse((ROOT / "src" / "qwebs" / "mfcore.py").read_text()).body:
+        units = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for name, unit in units:
+            if any(isinstance(node, ast.Name) and node.id == "GradedRing"
+                   for node in ast.walk(unit)):
+                loads.add(name)
+    assert loads == {"GradedRing.__eq__", "_glue", "_piece", "_zero_object", "_dropped"}
+
+
 def test_layer_trace_targets_resolve():
     # perfbench/layertrace.py wraps qwebs names by string and fails at
     # install time when one is renamed or deleted; it is read, not edited

@@ -46,8 +46,6 @@ def test_graded_ring_basics():
     assert gr.indices("top") == (1, 2)
     assert gr.ring.degree_of("top.2") == 4
     assert gr.size("missing") == 0
-    smaller = gr.without("top.1")
-    assert smaller.indices("top") == (2,)
     with pytest.raises(ValueError):
         GradedRing([("a", 1), ("a", 2)])
 
@@ -743,28 +741,26 @@ def test_exclusion_output_is_pinned():
 # ------------------------------------------------ the one elimination step
 
 
-def test_graded_ring_without_matches_a_fresh_ring():
+def test_final_drop_matches_a_fresh_ring():
     gr = GradedRing([("a", 2), ("b", 1), ("c", (2, 3)), ("d.x", 3)])
+    mf = KoszulMF(gr, [], 2)
     cases = {
-        "a.1": [("a", (2,)), ("b", 1), ("c", (2, 3)), ("d.x", 3)],
-        "b.1": [("a", 2), ("c", (2, 3)), ("d.x", 3)],  # b is emptied and pruned
-        "c.3": [("a", 2), ("b", 1), ("c", (2,)), ("d.x", 3)],  # sparse c stays sparse
-        "d.x.2": [("a", 2), ("b", 1), ("c", (2, 3)), ("d.x", (1, 3))],
+        ("a.1",): [("a", (2,)), ("b", 1), ("c", (2, 3)), ("d.x", 3)],
+        ("b.1",): [("a", 2), ("c", (2, 3)), ("d.x", 3)],  # b is emptied and pruned
+        ("c.3",): [("a", 2), ("b", 1), ("c", (2,)), ("d.x", 3)],  # sparse c stays sparse
+        ("d.x.2",): [("a", 2), ("b", 1), ("c", (2, 3)), ("d.x", (1, 3))],
+        gr.ring.names(): [],  # every generator at once leaves the empty ring
     }
-    for name, alphabets in cases.items():
-        got, want = gr.without(name), GradedRing(alphabets)
-        assert got == want and hash(got) == hash(want), name
+    for names, alphabets in cases.items():
+        got = mfcore._dropped(mf, {gr.ring.index(x) for x in names}).gr
+        want = GradedRing(alphabets)
+        assert got == want and hash(got) == hash(want), names
         assert got.ring == want.ring and hash(got.ring) == hash(want.ring)
         assert got.ring.gens == want.ring.gens and got.ring.names() == want.ring.names()
         for x in want.ring.names():
             assert got.ring.index(x) == want.ring.index(x)
             assert got.ring.degree_of(x) == want.ring.degree_of(x)
-        assert name not in got.ring
-    # dropping down to the empty ring, one generator at a time
-    cur = gr
-    for x in gr.ring.names():
-        cur = cur.without(x)
-    assert cur == GradedRing([]) and cur.ring.gens == ()
+        assert not any(x in got.ring for x in names)
 
 
 def _eliminate_by_substitution(cur, r, name, flip, sol=None, basemodule=None):
@@ -785,6 +781,15 @@ def _eliminate_by_substitution(cur, r, name, flip, sol=None, basemodule=None):
                     boundary=cur.boundary)
 
 
+def _over_used(mf):
+    """mf over only the generators that some entry uses, moved by name."""
+    used = {x for row in mf.rows for f in row[:2] for x in mf.gr.ring.names() if f.uses(x)}
+    gr = GradedRing((n, [j for j in idx if f"{n}.{j}" in used]) for n, idx in mf.gr.alphabets)
+    rows = [(p.convert(gr.ring), q.convert(gr.ring), dp, dq) for p, q, dp, dq in mf.rows]
+    # unchecked, as a boundary alphabet may have gone unused
+    return KoszulMF._raw(gr, rows, mf.N, mf.qshift, mf.hshift, mf.basemodule, mf.boundary)
+
+
 @pytest.fixture(scope="module")
 def sweep_webs():
     """The compiled webs of the 75 n2m2 and the 43 n3m2 pairs of the benchmark."""
@@ -798,13 +803,17 @@ def sweep_webs():
 
 
 def test_eliminate_matches_substitution_oracle(monkeypatch, sweep_webs):
+    # each step keeps its input's ring, where the oracle drops the generator,
+    # so both sides are compared over the generators their entries use
     real = mfcore._eliminate
     kinds = {"linear": 0, "absorb": 0, "substituted": 0}
 
-    def checked(cur, r, name, flip, sol=None, basemodule=None):
-        out = real(cur, r, name, flip, sol=sol, basemodule=basemodule)
+    def checked(cur, r, i, flip, sol=None, basemodule=None):
+        out = real(cur, r, i, flip, sol=sol, basemodule=basemodule)
+        name = cur.gr.ring.names()[i]
         want = _eliminate_by_substitution(cur, r, name, flip, sol=sol, basemodule=basemodule)
-        assert out == want and dump_mf(out) == dump_mf(want)
+        out_used, want_used = _over_used(out), _over_used(want)
+        assert out_used == want_used and dump_mf(out_used) == dump_mf(want_used)
         kinds["linear" if sol is not None else "absorb"] += 1
         kinds["substituted"] += any(f.uses(name) for j, row in enumerate(cur.rows) if j != r
                                     for f in row[:2])
@@ -814,6 +823,43 @@ def test_eliminate_matches_substitution_oracle(monkeypatch, sweep_webs):
     for a, b in sweep_webs:
         ext_qdim(a, b)
     assert all(kinds.values()), kinds
+
+
+def test_eliminate_keeps_its_input_ring_and_untouched_entries(monkeypatch, sweep_webs):
+    # a step substitutes only into the entries that use the eliminated slot
+    real = mfcore._eliminate
+    seen = {"kept": 0, "moved": 0}
+
+    def checked(cur, r, i, flip, sol=None, basemodule=None):
+        out = real(cur, r, i, flip, sol=sol, basemodule=basemodule)
+        assert out.gr is cur.gr
+        before = [row for j, row in enumerate(cur.rows) if j != r]
+        assert len(out.rows) == len(before)
+        for new, old in zip(out.rows, before):
+            assert new[2:] == old[2:]
+            for f, g in zip(new[:2], old[:2]):
+                assert not any(e[i] for e in f.terms())
+                if any(e[i] for e in g.terms()):
+                    seen["moved"] += 1
+                else:
+                    assert f is g
+                    seen["kept"] += 1
+        return out
+
+    monkeypatch.setattr(mfcore, "_eliminate", checked)
+    for a, b in sweep_webs:
+        ext_qdim(a, b)
+    assert all(seen.values()), seen
+
+
+def test_exclusion_drops_only_removed_generators():
+    # s.2 is internal, used by no entry and removed by no rule: it stays
+    gr = GradedRing([("b", 1), ("s", 2)])
+    b, s1 = gr.var("b", 1), gr.var("s", 1)
+    mf = KoszulMF(gr, [(b, s1 - b), (b, b)], 1, boundary={"b": 1})
+    red = exclude_variables(mf)
+    assert red.gr == GradedRing([("b", 1), ("s", (2,))])
+    assert [(str(p), str(q), dp, dq) for p, q, dp, dq in red.rows] == [("b.1", "b.1", 2, 2)]
 
 
 def test_exclusion_resolves_no_names(monkeypatch, sweep_webs):
