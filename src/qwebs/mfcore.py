@@ -20,7 +20,8 @@ from functools import lru_cache
 from itertools import count
 
 from ._linalg import fraction_rank
-from .qpoly import LaurentPoly, MultiPoly, NonExactDivision, PolyRing, _mul_into, power_sum_in_e
+from .qpoly import (LaurentPoly, MultiPoly, NonExactDivision, PolyRing, _mul_into, _normal,
+                    power_sum_in_e)
 from .webs import Ladder
 
 
@@ -162,7 +163,7 @@ class KoszulMF:
         W = {}
         for p, q, _, _ in self.rows:
             _mul_into(W, p._t, q._t)
-        return MultiPoly._raw(self.gr.ring, W)
+        return MultiPoly._raw(self.gr.ring, _normal(W))
 
     def __eq__(self, other):
         if not isinstance(other, KoszulMF):
@@ -171,6 +172,11 @@ class KoszulMF:
                 self.basemodule, self.boundary) == (
                 other.gr, other.rows, other.N, other.qshift, other.hshift,
                 other.basemodule, other.boundary)
+
+    def __hash__(self):
+        # boundary equality ignores insertion order, so it hashes as a set
+        return hash((self.gr, self.rows, self.N, self.qshift, self.hshift,
+                     self.basemodule, frozenset(self.boundary.items())))
 
     def __repr__(self):
         return (f"KoszulMF({len(self.rows)} rows, N={self.N}, "
@@ -428,7 +434,8 @@ def check_potential(mf):
 def _linear_solution(entry, i, c):
     """For entry = c*x - g, x generator i and absent from g, the value g/c."""
     scale = Fraction(-1, c)
-    return MultiPoly._raw(entry.ring, {e: v * scale for e, v in entry._t.items() if not e[i]})
+    return MultiPoly._raw(entry.ring,
+                          _normal({e: v * scale for e, v in entry._t.items() if not e[i]}))
 
 
 def _zero_object(N):
@@ -644,6 +651,15 @@ def exclude_variables(mf):
         cur, idle = nxt, idle + 1
 
 
+@lru_cache(maxsize=256)
+def _contracted(mf):
+    """exclude_variables(mf), kept for the sweeps of ext_qdim, where one web
+    meets many others. It is looked up as a module global on each miss, so a
+    wrapper put in its place sees every contraction that runs. Only returns
+    are kept: a web that raises raises again on the next call."""
+    return exclude_variables(mf)
+
+
 # ----------------------------------------------------------- EXT q-dims
 
 
@@ -724,13 +740,16 @@ def ext_qdim(a, b):
     must carry the same boundary. Both are contracted, the first one's dual
     over the boundary ring is glued onto the second, and the result is
     excluded to a finite quotient; IrreducibleToFinite means none was found.
+    Each web's contraction is kept in a 256-entry LRU cache, so a sweep over
+    pairs contracts each distinct web once; exclude_variables itself is not
+    cached, and the glued factorization is contracted on every call.
     """
     if a.N != b.N:
         raise ValueError("different N")
     if a.boundary != b.boundary:
         raise ValueError("boundaries do not match")
-    a = exclude_variables(a)
-    b = exclude_variables(b)
+    a = _contracted(a)
+    b = _contracted(b)
     if a.is_zero_object() or b.is_zero_object():
         return (LaurentPoly.zero(), LaurentPoly.zero())
     # renaming internal alphabets only commutes with dual

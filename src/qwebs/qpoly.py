@@ -32,6 +32,12 @@ def _norm_coeff(c):
     return c
 
 
+def _normal(t):
+    """t without its zero values and with each integral Fraction made an int:
+    the form MultiPoly._raw trusts it is handed."""
+    return {e: v.numerator if v.denominator == 1 else v for e, v in t.items() if v}
+
+
 def _slots(pick):
     """The function taking an exponent tuple e to (e[i] for i in pick), as a tuple."""
     return itemgetter(*pick) if len(pick) > 1 else lambda e: tuple(e[i] for i in pick)
@@ -386,15 +392,11 @@ class MultiPoly:
 
     @classmethod
     def _raw(cls, ring, terms):
-        """Internal fast path: exponent tuples are already validated."""
+        """Internal fast path: terms maps validated exponent tuples to nonzero
+        coefficients in normal form (see _normal) and is not copied."""
         self = object.__new__(cls)
         self.ring = ring
-        t = {}
-        for e, v in terms.items():
-            v = _norm_coeff(v)
-            if v:
-                t[e] = v
-        self._t = t
+        self._t = terms
         return self
 
     def terms(self):
@@ -428,7 +430,7 @@ class MultiPoly:
         t = dict(self._t)
         for e, v in other._t.items():
             t[e] = t.get(e, 0) + v
-        return MultiPoly._raw(self.ring, t)
+        return MultiPoly._raw(self.ring, _normal(t))
 
     __radd__ = __add__
 
@@ -447,11 +449,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MultiPoly._raw(self.ring, {e: v * other for e, v in self._t.items()})
+            return MultiPoly._raw(self.ring, _normal({e: v * other for e, v in self._t.items()}))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        return MultiPoly._raw(self.ring, _mul_into({}, self._t, other._t))
+        return MultiPoly._raw(self.ring, _normal(_mul_into({}, self._t, other._t)))
 
     __rmul__ = __mul__
 
@@ -592,7 +594,7 @@ class MultiPoly:
                     part = _mul_into({}, part, pw[e])
             for e, v in part.items():
                 out[e] = out.get(e, 0) + v
-        return MultiPoly._raw(ring, out)
+        return MultiPoly._raw(ring, _normal(out))
 
     def uses(self, name):
         i = self.ring.index(name)

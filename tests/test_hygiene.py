@@ -76,19 +76,34 @@ def test_only_webs_slices_applies_rungs():
     assert loads == {("webs.py", "slices")}
 
 
+def units_loading(path, name):
+    """The top-level functions and class members of a module that load name,
+    with methods named by their class."""
+    loads = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        units = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for unit_name, unit in units:
+            if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(unit)):
+                loads.add(unit_name)
+    return loads
+
+
 def test_mfcore_builds_few_graded_rings():
     # a contraction keeps its input's ring and drops the removed generators
     # once, in _dropped, so no elimination step builds a smaller ring, by the
-    # constructor or by object.__new__; methods are named by their class
-    loads = set()
-    for top in ast.parse((ROOT / "src" / "qwebs" / "mfcore.py").read_text()).body:
-        units = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
-                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for name, unit in units:
-            if any(isinstance(node, ast.Name) and node.id == "GradedRing"
-                   for node in ast.walk(unit)):
-                loads.add(name)
+    # constructor or by object.__new__
+    loads = units_loading(ROOT / "src" / "qwebs" / "mfcore.py", "GradedRing")
     assert loads == {"GradedRing.__eq__", "_glue", "_piece", "_zero_object", "_dropped"}
+
+
+def test_coefficients_are_checked_only_at_the_public_api():
+    # the trusted constructors take coefficients in normal form, so only the
+    # constructors and evaluate, which are handed outside values, check them
+    loads = {(path.name, unit) for path in sorted((ROOT / "src" / "qwebs").glob("*.py"))
+             for unit in units_loading(path, "_norm_coeff")}
+    assert loads == {("qpoly.py", "LaurentPoly.__init__"), ("qpoly.py", "MultiPoly.__init__"),
+                     ("qpoly.py", "MultiPoly.evaluate")}
 
 
 def test_layer_trace_targets_resolve():

@@ -3,6 +3,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import count, product
 from pathlib import Path
 
@@ -31,6 +32,15 @@ from qwebs.mfcore import (
     tensor,
     tensor_all,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_contractions():
+    # ext_qdim keeps each web's contraction; a test that patches the exclusion
+    # must see it run, not be served what an earlier test left behind
+    mfcore._contracted.cache_clear()
+    yield
+    mfcore._contracted.cache_clear()
 
 
 def unbalanced(*exps):
@@ -577,21 +587,28 @@ def test_exclusion_terminates_on_digon_pair():
     assert done.returncode == 0, done.stderr
 
 
-def test_exclusion_bounds_row_sweeps(monkeypatch):
-    # a sweep that always reports progress but never exposes a linear entry
-    calls = []
-
-    def restless(cur, internals):
+def _restless(calls):
+    """A row sweep that always reports progress but never exposes a linear
+    entry, recording each call in calls."""
+    def sweep(cur, internals):
         calls.append(1)
         if len(calls) > 50:
             raise AssertionError("exclude_variables kept sweeping")
         return KoszulMF(cur.gr, cur.rows, cur.N, qshift=cur.qshift, hshift=cur.hshift,
                         basemodule=cur.basemodule, boundary=cur.boundary)
+    return sweep
 
-    monkeypatch.setattr(mfcore, "_rref_once", restless)
+
+def _unexcludable():
     gr = GradedRing([("a", 1)])
     x = gr.var("a", 1)
-    mf = KoszulMF(gr, [(x * x, x * x, 4, 4)], 3)
+    return KoszulMF(gr, [(x * x, x * x, 4, 4)], 3)
+
+
+def test_exclusion_bounds_row_sweeps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mfcore, "_rref_once", _restless(calls))
+    mf = _unexcludable()
     with pytest.raises(IrreducibleToFinite):
         exclude_variables(mf)
     assert len(calls) == mfcore.MAX_IDLE_SWEEPS
@@ -665,6 +682,7 @@ def test_dual_commutes_with_exclusion(monkeypatch):
     for u, v in pairs:
         a, b = compile_web(u), compile_web(v)
         want = ext_qdim(a, b)
+        mfcore._contracted.cache_clear()  # else a's kept contraction answers
         with monkeypatch.context() as mp:
             mp.setattr(mfcore, "exclude_variables", lambda mf: mf if mf is a else real(mf))
             assert ext_qdim(a, b) == want, (str(u), str(v))
@@ -870,6 +888,7 @@ def test_exclusion_resolves_no_names(monkeypatch, sweep_webs):
     def refuse(*args, **kw):
         raise AssertionError("an entry was moved by generator name")
 
+    mfcore._contracted.cache_clear()  # the second run contracts every web again
     monkeypatch.setattr(MultiPoly, "substitute", refuse)
     monkeypatch.setattr(MultiPoly, "convert", refuse)
     assert [ext_qdim(a, b) for a, b in sweep_webs] == want
@@ -916,3 +935,94 @@ def test_trusted_factorizations_pass_the_checked_constructor(monkeypatch, sweep_
         ext_qdim(a, b)
         mfcore.dual(a)  # uncontracted, so with internal variables
     assert all(seen.values()), seen
+
+
+# ------------------------------------------- normal form and kept contractions
+
+
+def _in_normal_form(f):
+    # the checked constructor keeps it, and it holds no zero and no Fraction
+    # that is an integer, which the dict comparison cannot tell from an int
+    return (MultiPoly(f.ring, f._t)._t == f._t
+            and all(type(v) is int and v or type(v) is Fraction and v.denominator != 1
+                    for v in f._t.values()))
+
+
+def test_trusted_entries_are_in_normal_form(monkeypatch, sweep_webs, criterion_08_ladders):
+    # MultiPoly._raw trusts its coefficients: no zero, and no Fraction that
+    # is an integer, in any factorization that compiling or contracting builds
+    seen = []
+
+    def check(mf):
+        bad = [str(f) for row in mf.rows for f in row[:2] if not _in_normal_form(f)]
+        assert not bad, bad
+        seen.append(1)
+
+    def spy(fname):
+        real = getattr(mfcore, fname)
+
+        def wrapped(*args, **kw):
+            out = real(*args, **kw)
+            if out is not None:
+                check(out)
+            return out
+        return wrapped
+
+    for fname in ("exclude_variables", "_eliminate", "_rref_once"):
+        monkeypatch.setattr(mfcore, fname, spy(fname))
+    for a, b in sweep_webs:
+        check(a)
+        check(b)
+        ext_qdim(a, b)
+    for lad in criterion_08_ladders[::61]:
+        mf = compile_web(lad)
+        check(mf)
+        mfcore.exclude_variables(mf)
+    assert len(seen) > 1000
+
+
+def test_compiled_webs_hash_as_they_compare():
+    lad = Ladder(3, 3, (2, 1, 1), [Rung(1, -1, 1), Rung(2, 1, 1)])
+    a, b = compile_web(lad), compile_web(lad)
+    assert a is not b and a == b and hash(a) == hash(b)
+    # boundary equality ignores the order its alphabets were declared in
+    flipped = KoszulMF._raw(a.gr, a.rows, a.N, a.qshift, a.hshift, a.basemodule,
+                            dict(reversed(a.boundary.items())))
+    assert list(flipped.boundary) != list(a.boundary)
+    assert flipped == a and hash(flipped) == hash(a)
+
+
+def test_ext_contracts_each_web_once(monkeypatch):
+    u = Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, 1, 1)])
+    v = Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, -1, 1), Rung(1, 1, 2)])
+    real = mfcore.exclude_variables
+    calls = []
+
+    def spied(mf):
+        calls.append(mf)
+        return real(mf)
+
+    monkeypatch.setattr(mfcore, "exclude_variables", spied)
+    want = ext_qdim(compile_web(u), compile_web(v))
+    assert len(calls) == 3
+    # equal webs built anew reuse both contractions; only the glued one runs
+    a, b = compile_web(u), compile_web(v)
+    assert ext_qdim(a, b) == want
+    assert len(calls) == 4 and calls[3] != a and calls[3] != b
+
+
+def test_public_exclusion_is_not_kept():
+    mf = compile_web(Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, 1, 1)]))
+    first, second = exclude_variables(mf), exclude_variables(mf)
+    assert first is not mf and first is not second and first == second
+
+
+def test_a_web_that_raises_raises_again(monkeypatch):
+    calls = []
+    monkeypatch.setattr(mfcore, "_rref_once", _restless(calls))
+    mf = _unexcludable()
+    for _ in range(2):
+        with pytest.raises(IrreducibleToFinite):
+            ext_qdim(mf, mf)
+    assert len(calls) == 2 * mfcore.MAX_IDLE_SWEEPS
+    assert mfcore._contracted.cache_info().currsize == 0
