@@ -15,6 +15,7 @@ quantity s = (degq - degp)/2 read off the row it came from.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -26,7 +27,17 @@ from .webs import Ladder
 
 
 class IrreducibleToFinite(Exception):
-    """EXT did not reduce to a finite-dimensional graded quotient."""
+    """EXT did not reduce to a finite-dimensional graded quotient.
+
+    When the readout stops at a row that kept both entries nonzero, rows are
+    the residual rows and variables the names of the generators they use;
+    otherwise both are empty.
+    """
+
+    def __init__(self, message, rows=(), variables=()):
+        super().__init__(message)
+        self.rows = tuple(rows)
+        self.variables = tuple(variables)
 
 
 # ------------------------------------------------------------------ rings
@@ -101,9 +112,11 @@ class KoszulMF:
     power-sum potential is declared.
     """
 
-    __slots__ = ("gr", "rows", "N", "qshift", "hshift", "basemodule", "boundary")
+    __slots__ = ("gr", "rows", "N", "qshift", "hshift", "basemodule", "boundary", "_hash",
+                 "__weakref__")
 
     def __init__(self, gr, rows, N, qshift=0, hshift=0, basemodule=(0,), boundary=None):
+        self._hash = None
         self.gr = gr
         self.N = int(N)
         if self.N < 1:
@@ -153,6 +166,7 @@ class KoszulMF:
         self.gr, self.rows, self.N = gr, tuple(rows), N
         self.qshift, self.hshift = qshift, hshift
         self.basemodule, self.boundary = basemodule, boundary
+        self._hash = None
         return self
 
     def is_zero_object(self):
@@ -174,9 +188,12 @@ class KoszulMF:
                 other.basemodule, other.boundary)
 
     def __hash__(self):
+        # computed once, as the fields are not changed after construction;
         # boundary equality ignores insertion order, so it hashes as a set
-        return hash((self.gr, self.rows, self.N, self.qshift, self.hshift,
-                     self.basemodule, frozenset(self.boundary.items())))
+        if self._hash is None:
+            self._hash = hash((self.gr, self.rows, self.N, self.qshift, self.hshift,
+                               self.basemodule, frozenset(self.boundary.items())))
+        return self._hash
 
     def __repr__(self):
         return (f"KoszulMF({len(self.rows)} rows, N={self.N}, "
@@ -372,6 +389,10 @@ def mf_split(k1, k2, N, top1="top1", top2="top2", bot="bot"):
 # ------------------------------------------------------------- compiling
 
 
+# every compiled web that is still alive, by its ladder; see compile_web
+_compiled_webs = weakref.WeakValueDictionary()
+
+
 def compile_web(u):
     """Compile a ladder into one Koszul factorization.
 
@@ -381,9 +402,21 @@ def compile_web(u):
     output is deterministic for a given ladder. Each cached merge or split
     piece is relabelled once, straight into the web's ring, and every row is
     checked once, on the way out.
+
+    Compiled webs are shared: while one is alive, compiling an equal ladder
+    returns that same object, so a result must be treated as read-only. The
+    table behind this holds its webs weakly and keeps none of them alive.
     """
     if not isinstance(u, Ladder):
         raise TypeError("compile_web expects a single ladder")
+    mf = _compiled_webs.get(u)
+    if mf is None:
+        mf = _compiled_webs[u] = _build_web(u)
+    return mf
+
+
+def _build_web(u):
+    """The factorization of ladder u, built anew; see compile_web."""
     N, m = u.N, u.m
     seg = [f"bot.{i + 1}" for i in range(m)]
     fresh = count(1)
@@ -742,7 +775,11 @@ def ext_qdim(a, b):
     excluded to a finite quotient; IrreducibleToFinite means none was found.
     Each web's contraction is kept in a 256-entry LRU cache, so a sweep over
     pairs contracts each distinct web once; exclude_variables itself is not
-    cached, and the glued factorization is contracted on every call.
+    cached, and the glued factorization is contracted on every call. The
+    cache holds the webs it was given alive, so compile_web hands the same
+    objects out again and the cache finds each by its kept hash and by
+    identity. A ladder whose web equals one cached for another ladder is
+    built again on each call, as the cache keeps the other object.
     """
     if a.N != b.N:
         raise ValueError("different N")
@@ -776,7 +813,7 @@ def ext_qdim(a, b):
         else:
             used = [x for x, _ in red.gr.ring.gens if any(f.uses(x) for r in red.rows for f in r[:2])]
             raise IrreducibleToFinite(f"a row kept both entries nonzero: {len(red.rows)} residual"
-                                      f" rows over {', '.join(used)}")
+                                      f" rows over {', '.join(used)}", red.rows, used)
 
     hilbert = _certified_hilbert(red.gr.ring, fs)
     h0, h1 = hilbert, LaurentPoly.zero()

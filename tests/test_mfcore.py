@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import importlib.util
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from itertools import count, product
 from pathlib import Path
@@ -363,7 +365,8 @@ def test_compile_copies_and_checks_once(monkeypatch):
     monkeypatch.setattr(KoszulMF, "__init__", counted)
     monkeypatch.setattr(MultiPoly, "convert", refuse)
     monkeypatch.setattr(mfcore, "rename_alphabets", refuse)
-    assert compile_web(lad) == want
+    # built anew, as compile_web would hand back the interned want
+    assert mfcore._build_web(lad) == want
     assert len(inits) == 1
 
 
@@ -433,17 +436,16 @@ def test_glue_refuses_colliding_renames():
 def test_wrong_degree_reaches_the_check_through_glue(monkeypatch):
     good = _piece("merge", 1, 1, 3)
     p, q, dp, dq = good.rows[0]
-    bad = object.__new__(KoszulMF)
-    for slot in KoszulMF.__slots__:
-        setattr(bad, slot, getattr(good, slot))
-    bad.rows = ((p * good.gr.var("top", 1), q, dp, dq),) + good.rows[1:]
+    bad = KoszulMF._raw(good.gr, ((p * good.gr.var("top", 1), q, dp, dq),) + good.rows[1:],
+                        good.N, good.qshift, good.hshift, good.basemodule, good.boundary)
     with pytest.raises(ValueError, match="entry degree"):
         _glue([(bad, {})], 3)
-    # this ladder's F-rung places the merge of 1 with 1
+    # this ladder's F-rung places the merge of 1 with 1; built anew, so that
+    # no interned web of an equal ladder stands in for the patched piece
     monkeypatch.setattr(mfcore, "_piece", lambda *key: bad if key == ("merge", 1, 1, 3)
                         else _piece(*key))
     with pytest.raises(ValueError, match="entry degree"):
-        compile_web(Ladder(3, 2, (1, 1), [Rung(1, -1, 1)]))
+        mfcore._build_web(Ladder(3, 2, (1, 1), [Rung(1, -1, 1)]))
 
 
 def test_compile_identity_ladder_is_edge():
@@ -986,13 +988,19 @@ def test_trusted_entries_are_in_normal_form(monkeypatch, sweep_webs, criterion_0
 
 def test_compiled_webs_hash_as_they_compare():
     lad = Ladder(3, 3, (2, 1, 1), [Rung(1, -1, 1), Rung(2, 1, 1)])
-    a, b = compile_web(lad), compile_web(lad)
+    a, b = compile_web(lad), mfcore._build_web(lad)
     assert a is not b and a == b and hash(a) == hash(b)
     # boundary equality ignores the order its alphabets were declared in
     flipped = KoszulMF._raw(a.gr, a.rows, a.N, a.qshift, a.hshift, a.basemodule,
                             dict(reversed(a.boundary.items())))
     assert list(flipped.boundary) != list(a.boundary)
     assert flipped == a and hash(flipped) == hash(a)
+    # the hash a web keeps after a sweep has used it is that of its fields
+    web = compile_web(Ladder(2, 3, (2, 0, 0), [Rung(1, -1, 1), Rung(2, -1, 1)]))
+    ext_qdim(web, web)
+    fresh = KoszulMF(web.gr, web.rows, web.N, qshift=web.qshift, hshift=web.hshift,
+                     basemodule=web.basemodule, boundary=web.boundary)
+    assert fresh == web and hash(fresh) == hash(web)
 
 
 def test_ext_contracts_each_web_once(monkeypatch):
@@ -1029,3 +1037,55 @@ def test_a_web_that_raises_raises_again(monkeypatch):
             ext_qdim(mf, mf)
     assert len(calls) == 2 * mfcore.MAX_IDLE_SWEEPS
     assert mfcore._contracted.cache_info().currsize == 0
+
+
+def test_equal_ladders_compile_to_one_web_while_it_lives():
+    rungs = [Rung(1, -1, 1), Rung(2, 1, 1)]
+    lad, again = Ladder(3, 3, (2, 1, 1), rungs), Ladder(3, 3, (2, 1, 1), tuple(rungs))
+    assert lad is not again
+    mf = compile_web(lad)
+    assert compile_web(again) is mf
+    ext_qdim(mf, mf)  # the contraction cache now holds mf
+    del mf
+    mfcore._contracted.cache_clear()
+    gc.collect()
+    # a compile-only loop keeps nothing alive
+    assert lad not in mfcore._compiled_webs
+
+
+def test_a_sweep_builds_each_web_once(monkeypatch):
+    # cold: no interned web (the module's fixtures hold some) and no contraction
+    monkeypatch.setattr(mfcore, "_compiled_webs", weakref.WeakValueDictionary())
+    real = mfcore._build_web
+    built = []
+
+    def spied(u):
+        built.append(u)
+        return real(u)
+
+    monkeypatch.setattr(mfcore, "_build_web", spied)
+    pairs = _n2m2_pairs()
+    counts = []
+    for _ in range(2):
+        built.clear()
+        for u, v in pairs:
+            ext_qdim(compile_web(u), compile_web(v))
+        counts.append(len(built))
+    assert len(pairs) == 75 and counts == [15, 0]
+
+
+def test_residual_rows_ride_on_the_error():
+    left = Ladder.parse("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1, E1^1]")
+    right = Ladder.parse("N=3 m=2 base=[3,0] rungs=[F1^1]")
+    with pytest.raises(IrreducibleToFinite) as info:
+        ext_qdim(compile_web(left), compile_web(right))
+    exc = info.value
+    assert str(exc) == ("a row kept both entries nonzero: 3 residual rows over"
+                        " L.s4.1, L.s7.1, top.2.1")
+    assert len(exc.rows) == 3 and exc.variables == ("L.s4.1", "L.s7.1", "top.2.1")
+    assert any(not p.is_zero() and not q.is_zero() for p, q, _, _ in exc.rows)
+    used = {x for p, q, _, _ in exc.rows for f in (p, q) for x in exc.variables if f.uses(x)}
+    assert used == set(exc.variables)
+    # an error raised elsewhere carries no rows
+    plain = IrreducibleToFinite("stuck")
+    assert plain.rows == () and plain.variables == ()
