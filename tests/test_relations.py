@@ -1,3 +1,4 @@
+import hashlib
 import random
 from math import comb, prod
 
@@ -330,6 +331,18 @@ def test_uncertified_piece_falls_back_to_all_columns(monkeypatch, N):
 def test_report_line_format():
     lines = verify_report(2, ["digon"])
     assert lines[0] == "digon a=0 b=1 N=2 PASS"
+
+
+# SHA-256 of every verify_report(N) line, each ended by a newline, for N = 2..6
+REPORT_DIGEST = "58cfda6f4b51e08d69ca158108a76f5d3ac86cc8ea18caa99cfdd7a92d8d6c2d"
+
+
+def test_report_output_is_pinned():
+    digest = hashlib.sha256()
+    for N in range(2, 7):
+        for line in verify_report(N):
+            digest.update(f"{line}\n".encode())
+    assert digest.hexdigest() == REPORT_DIGEST
 
 
 def test_relation_at_higher_position():
