@@ -684,13 +684,33 @@ def exclude_variables(mf):
         cur, idle = nxt, idle + 1
 
 
-@lru_cache(maxsize=256)
-def _contracted(mf):
-    """exclude_variables(mf), kept for the sweeps of ext_qdim, where one web
-    meets many others. It is looked up as a module global on each miss, so a
-    wrapper put in its place sees every contraction that runs. Only returns
-    are kept: a web that raises raises again on the next call."""
+def _contract(mf):
+    """exclude_variables(mf), looked up as a module global on each call, so a
+    wrapper put in its place sees every contraction that runs."""
     return exclude_variables(mf)
+
+
+@lru_cache(maxsize=256)
+def _kept_contraction(mf):
+    """(_contract(mf), the webs equal to mf that _contracted was handed)."""
+    return _contract(mf), []
+
+
+def _contracted(mf):
+    """_contract(mf), kept for the sweeps of ext_qdim, where one web meets
+    many others. The kept entry also holds every web equal to mf that asks
+    for it, so compile_web's table keeps each alive: a ladder whose web
+    equals another ladder's is built once per sweep, not at each meeting.
+    Only returns are kept: a web that raises raises again on the next call."""
+    red, held = _kept_contraction(mf)
+    if all(web is not mf for web in held):
+        held.append(mf)
+    return red
+
+
+_contracted.__wrapped__ = _contract
+_contracted.cache_clear = _kept_contraction.cache_clear
+_contracted.cache_info = _kept_contraction.cache_info
 
 
 # ----------------------------------------------------------- EXT q-dims
@@ -776,10 +796,9 @@ def ext_qdim(a, b):
     Each web's contraction is kept in a 256-entry LRU cache, so a sweep over
     pairs contracts each distinct web once; exclude_variables itself is not
     cached, and the glued factorization is contracted on every call. The
-    cache holds the webs it was given alive, so compile_web hands the same
-    objects out again and the cache finds each by its kept hash and by
-    identity. A ladder whose web equals one cached for another ladder is
-    built again on each call, as the cache keeps the other object.
+    cache holds the webs it was given alive, equal ones included, so
+    compile_web hands the same objects out again and the cache finds each
+    by its kept hash and by identity.
     """
     if a.N != b.N:
         raise ValueError("different N")

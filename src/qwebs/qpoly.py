@@ -261,13 +261,6 @@ def qint(n):
     return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
 
 
-def qint_signed(n):
-    """[n] for any integer, with [-n] = -[n]."""
-    if n >= 0:
-        return qint(n)
-    return -qint(-n)
-
-
 @lru_cache(maxsize=None)
 def qbinom(n, k):
     """Balanced quantum binomial [n choose k] for 0 <= k <= n.

@@ -12,13 +12,13 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from oracles import qint_signed
 from qwebs._linalg import fraction_rank
 from qwebs.qpoly import (
     LaurentPoly,
     elementary_ring,
     power_sum_in_e,
     qbinom,
-    qint_signed,
 )
 from qwebs.webs import (
     GlWeight,

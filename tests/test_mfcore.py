@@ -1053,7 +1053,8 @@ def test_equal_ladders_compile_to_one_web_while_it_lives():
     assert lad not in mfcore._compiled_webs
 
 
-def test_a_sweep_builds_each_web_once(monkeypatch):
+def _builds_per_sweep(monkeypatch, pairs):
+    """_build_web calls in each of two EXT sweeps over pairs of ladders."""
     # cold: no interned web (the module's fixtures hold some) and no contraction
     monkeypatch.setattr(mfcore, "_compiled_webs", weakref.WeakValueDictionary())
     real = mfcore._build_web
@@ -1064,14 +1065,26 @@ def test_a_sweep_builds_each_web_once(monkeypatch):
         return real(u)
 
     monkeypatch.setattr(mfcore, "_build_web", spied)
-    pairs = _n2m2_pairs()
     counts = []
     for _ in range(2):
         built.clear()
         for u, v in pairs:
             ext_qdim(compile_web(u), compile_web(v))
         counts.append(len(built))
-    assert len(pairs) == 75 and counts == [15, 0]
+    return counts
+
+
+def test_a_sweep_builds_each_web_once(monkeypatch):
+    pairs = _n2m2_pairs()
+    assert len(pairs) == 75 and _builds_per_sweep(monkeypatch, pairs) == [15, 0]
+
+
+def test_an_ext_pass_builds_each_ladder_once(monkeypatch):
+    # 7 of the benchmark's 48 ext ladders compile to a factorization equal to
+    # another ladder's; the contraction cache holds those webs too
+    pairs = [tuple(Ladder(N, m, base, tuple(Rung(*r) for r in rungs)) for N, m, base, rungs in uv)
+             for _, *uv in _bench_gen().ext_pairs()]
+    assert len(pairs) == 158 and _builds_per_sweep(monkeypatch, pairs) == [48, 0]
 
 
 def test_residual_rows_ride_on_the_error():

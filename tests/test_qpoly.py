@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import qint_signed
 from qwebs.qpoly import (
     LaurentPoly,
     MultiPoly,
@@ -17,7 +18,6 @@ from qwebs.qpoly import (
     qbinom,
     qbinom_ext,
     qint,
-    qint_signed,
 )
 
 Q = LaurentPoly.q_power

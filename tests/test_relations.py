@@ -345,6 +345,24 @@ def test_report_output_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
+def test_a_report_builds_only_the_columns_it_reaches(monkeypatch):
+    # the reached set does not depend on the order of the pushes
+    real = repfun._local_rung_cols
+    tables = {}
+
+    def spied(*args):
+        tables[args] = real(*args)
+        return tables[args]
+
+    for cache in PIECE_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(repfun, "_local_rung_cols", spied)
+    verify_report(6)
+    built = sum(len(table) for table in tables.values())
+    pairs = sum(comb(6, ki) * comb(6, kj) for ki, kj, _, _, _ in tables)
+    assert (len(tables), built, pairs) == (182, 9061, 19032)
+
+
 def test_relation_at_higher_position():
     inst = RelationInstance("digon", (1, 1), position=2)
     assert verify_relation(inst, 3)

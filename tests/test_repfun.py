@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from qwebs.qpoly import LaurentPoly, qbinom, qint_signed
+from oracles import qint_signed
+from qwebs.qpoly import LaurentPoly, qbinom
 from qwebs.webs import (
     GlWeight,
     Ladder,
@@ -185,6 +186,35 @@ def _qg_commutes(m, src, dst, N):
                for i in range(1, N) for g in ("E", "F", "K"))
 
 
+def _oracle_commutes(N, cols):
+    """Reference for repfun._commutes: every K_i weight checked for each i,
+    and E_i and F_i on every element that either side of the commutator
+    can reach."""
+    for i in range(1, N):
+        for x, col in cols.items():
+            w = sum(_kexp(i, T) for T in x)
+            if any(sum(_kexp(i, T) for T in y) != w for y, _, _ in col):
+                return False
+        for gen, undo in (("E", _f_move), ("F", _e_move)):
+            todo = set(cols)
+            for y in cols:
+                for j, T in enumerate(y):
+                    moved = undo(i, T)
+                    if moved is not None:
+                        todo.add(y[:j] + (moved,) + y[j + 1:])
+            for x in todo:
+                diff = {}
+                for y, t in repfun._gen_terms(i, gen, x):
+                    for z, e, s in cols.get(y, ()):
+                        repfun._add_term(diff, z, e + t, s)
+                for y, e, s in cols.get(x, ()):
+                    for z, t in repfun._gen_terms(i, gen, y):
+                        repfun._add_term(diff, z, e + t, -s)
+                if any(c for poly in diff.values() for c in poly.values()):
+                    return False
+    return True
+
+
 def _piece_variants(a, b, N, monkeypatch):
     """(kind, QMatrix) for the merge and split of (a, b), as built and under
     the wrong wedge sign x_j ^ x_i = -q x_i ^ x_j, each also scaled by q and
@@ -217,6 +247,7 @@ def test_certificate_matches_qg_action(monkeypatch):
                     cols = repfun._monomial_cols(m, src.elements, dst.elements)
                     got = repfun._commutes(N, cols)
                     assert got == _qg_commutes(m, src, dst, N), (N, a, b, kind, m.entries())
+                    assert got == _oracle_commutes(N, cols), (N, a, b, kind, m.entries())
                     verdicts.append(got)
     assert True in verdicts and False in verdicts
 
@@ -225,7 +256,39 @@ def test_certificate_matches_qg_action(monkeypatch):
 def test_certificate_holds(N):
     for a in range(N + 1):
         for b in range(N + 1 - a):
-            assert repfun._piece(a, b, N).certified, (a, b, N)
+            piece = repfun._piece(a, b, N)
+            assert piece.certified, (a, b, N)
+            assert _oracle_commutes(N, piece.merge) and _oracle_commutes(N, piece.split), (a, b, N)
+
+
+def _moved_index(N, cols):
+    """cols with one index of its first image term swapped for one that
+    factor lacks, so that term's index multiset changes; None if no factor
+    of that term has both."""
+    x = min(cols)
+    (y, e, s), *rest = cols[x]
+    for j, T in enumerate(y):
+        spare = [v for v in range(1, N + 1) if v not in T]
+        if T and spare:
+            moved = y[:j] + (tuple(sorted(T[1:] + (spare[0],))),) + y[j + 1:]
+            return {**cols, x: [(moved, e, s), *rest]}
+    return None
+
+
+def test_both_certificates_reject_a_moved_index():
+    mutants = 0
+    for N in range(2, 5):
+        for a in range(N + 1):
+            for b in range(N + 1 - a):
+                piece = repfun._piece(a, b, N)
+                for cols in (piece.merge, piece.split):
+                    bad = _moved_index(N, cols)
+                    if bad is None:
+                        continue
+                    mutants += 1
+                    assert not repfun._commutes(N, bad), (N, a, b)
+                    assert not _oracle_commutes(N, bad), (N, a, b)
+    assert mutants == 38
 
 
 def test_certificate_fails_under_wrong_wedge_sign(monkeypatch):
@@ -534,8 +597,10 @@ def test_local_rung_cols_are_signed_monomials():
                             continue
                         keys += 1
                         new = repfun._local_rung_cols(ki, kj, sign, a, N)
-                        entries += sum(len(col) for col in new.values())
                         old = _oracle_rung_cols(ki, kj, sign, a, N)
+                        for ST in old:  # a column is built on its first lookup
+                            new[ST]
+                        entries += sum(len(col) for col in new.values())
                         assert new.keys() == old.keys()
                         for ST, col in old.items():
                             for _, v in col:
@@ -543,6 +608,23 @@ def test_local_rung_cols_are_signed_monomials():
                                 assert c in (1, -1), (N, ki, kj, sign, a, ST, v)
                             assert {(S2, T2): Q(e, s) for S2, T2, e, s in new[ST]} == dict(col)
     assert (keys, entries) == (390, 28138)
+
+
+def test_a_corrupt_split_entry_raises_when_its_column_is_reached(monkeypatch):
+    # an E-rung of thickness 1 on uprights (1, 1) at N=3 splits T with
+    # split(1, 0); doubling the term of T = (2,) makes the rung entry of
+    # ((1,), (2,)) a sum of two products
+    real = repfun._piece
+    good = real(1, 0, 3)
+    split = dict(good.split)
+    split[((2,),)] = split[((2,),)] * 2
+    bad = repfun._Piece(3, good.merge, split)
+    monkeypatch.setattr(repfun, "_piece", lambda a, b, N: bad if (a, b, N) == (1, 0, 3) else real(a, b, N))
+    table = repfun._local_rung_cols.__wrapped__(1, 1, 1, 1, 3)
+    assert table[((1,), (3,))] == [((1, 3), (), 0, 1)]
+    with pytest.raises(ValueError, match="is a sum, not a signed monomial"):
+        table[((1,), (2,))]
+    assert ((1,), (2,)) not in table
 
 
 def test_push_matches_laurent_oracle():
