@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from qwebs import mfcore
-from qwebs.qpoly import LaurentPoly, MultiPoly
+from oracles import certified_hilbert
+from qwebs.qpoly import LaurentPoly, MultiPoly, PolyRing
 from qwebs.webs import Ladder, Rung, Zero
 from qwebs.mfcore import (
     GradedRing,
@@ -1102,3 +1103,75 @@ def test_residual_rows_ride_on_the_error():
     # an error raised elsewhere carries no rows
     plain = IrreducibleToFinite("stuck")
     assert plain.rows == () and plain.variables == ()
+
+
+# ------------------------------------------- the Hilbert series certificate
+
+
+def _same_top_pairs(N, k, max_thick):
+    """The same-top pairs of N, m=2 ladders over (k, 0) with <= 2 rungs."""
+    lads = frontier = [Ladder(N, 2, (k, 0), [])]
+    for _ in range(2):
+        frontier = [ext for lad in frontier for sign in (1, -1) for a in range(1, max_thick + 1)
+                    if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
+        lads = lads + frontier
+    by_top = {}
+    for lad in lads:
+        by_top.setdefault(lad.top, []).append(lad)
+    return [(u, v) for group in by_top.values() for u, v in product(group, repeat=2)]
+
+
+def _certified_or_raised(certify, ring, fs):
+    try:
+        return certify(ring, fs)
+    except IrreducibleToFinite:
+        return IrreducibleToFinite
+
+
+def test_certificate_matches_the_reference_on_the_sweeps(monkeypatch):
+    # every system ext_qdim certifies on criterion 10's edges and on the
+    # N=3 and N=4 sweeps of criterion 13 gets the reference's answer
+    seen = []
+    real = mfcore._certified_hilbert
+
+    def spied(ring, fs):
+        seen.append((ring, list(fs)))
+        return real(ring, fs)
+
+    monkeypatch.setattr(mfcore, "_certified_hilbert", spied)
+    for N, k in ((2, 1), (3, 1), (3, 2)):
+        ext_qdim(mf_edge(k, N), mf_edge(k, N))
+    for N, want in ((3, 43), (4, 89)):
+        pairs = _same_top_pairs(N, N, N)
+        assert len(pairs) == want
+        for u, v in pairs:
+            ext_qdim(compile_web(u), compile_web(v))
+    assert len(seen) == 135 and max(len(ring) for ring, _ in seen) == 4
+    for ring, fs in seen:
+        assert (_certified_or_raised(real, ring, fs)
+                == _certified_or_raised(certified_hilbert, ring, fs)), (ring.gens, fs)
+
+
+XZ = PolyRing([("x", 2), ("z", 4)])
+X, Z = XZ.var("x"), XZ.var("z")
+
+
+def test_certificate_of_a_complete_intersection():
+    assert mfcore._certified_hilbert(XZ, [X**2, Z**2]) == unbalanced(0, 2, 4, 6)
+
+
+def test_certificate_needs_the_whole_window():
+    # the candidate of (x^2, xz) is 1 + q^2 + q^4, so T = 4; the quotient
+    # matches it through degree 4 and is 0 at degree 6, but z^2 survives at
+    # degree 8 = T + max|y|: a window cut to T + 2 would certify it
+    fs = [X**2, X * Z]
+    assert [mfcore._graded_quotient_dim(XZ, fs, d) for d in (0, 2, 4, 6, 8)] == [1, 1, 1, 0, 1]
+    with pytest.raises(IrreducibleToFinite, match="degree 8"):
+        mfcore._certified_hilbert(XZ, fs)
+
+
+@pytest.mark.parametrize("fs", [[X**2, X**2], [X**2], [X**2, Z**2, X * Z]],
+                         ids=["repeated", "one-of-two", "three-of-two"])
+def test_certificate_refuses_a_system_that_is_not_regular(fs):
+    with pytest.raises(IrreducibleToFinite):
+        mfcore._certified_hilbert(XZ, fs)
