@@ -314,17 +314,19 @@ def _quotient_rows(gr, N, top_slots, bot_slots):
     """Rows of a one-column factorization between two slot systems.
 
     Row a has q-entry top_a - bot_a and p-entry the difference quotient of
-    the power sum between mixed slot evaluations; the potential telescopes to
-    P(top) - P(bot).
+    the power sum between the mixed slot evaluations P(bot[:a-1] + top[a-1:])
+    and P(bot[:a] + top[a:]); the potential telescopes to P(top) - P(bot).
+    Neighbouring rows share an evaluation, so k slots take k + 1 of them.
     """
     k = len(top_slots)
+    if not k:
+        return []
     D = 2 * (N + 1)
+    mixed = [_p_at_slots(gr, N, bot_slots[:a] + top_slots[a:]) for a in range(k + 1)]
     rows = []
     for a in range(1, k + 1):
-        hi = _p_at_slots(gr, N, bot_slots[: a - 1] + top_slots[a - 1:])
-        lo = _p_at_slots(gr, N, bot_slots[:a] + top_slots[a:])
         qent = top_slots[a - 1] - bot_slots[a - 1]
-        pent = (hi - lo).exact_divide(qent)
+        pent = (mixed[a - 1] - mixed[a]).exact_divide(qent)
         rows.append((pent, qent, D - 2 * a, 2 * a))
     return rows
 
@@ -684,22 +686,16 @@ def exclude_variables(mf):
         cur, idle = nxt, idle + 1
 
 
-def _contract(mf):
-    """exclude_variables(mf), looked up as a module global on each call, so a
-    wrapper put in its place sees every contraction that runs."""
-    return exclude_variables(mf)
-
-
 @lru_cache(maxsize=256)
 def _kept_contraction(mf):
-    """(_contract(mf), the webs equal to mf that _contracted was handed)."""
-    return _contract(mf), []
+    """(exclude_variables(mf), the webs equal to mf that _contracted was handed)."""
+    return exclude_variables(mf), []
 
 
 def _contracted(mf):
-    """_contract(mf), kept for the sweeps of ext_qdim, where one web meets
-    many others. The kept entry also holds every web equal to mf that asks
-    for it, so compile_web's table keeps each alive: a ladder whose web
+    """exclude_variables(mf), kept for the sweeps of ext_qdim, where one web
+    meets many others. The kept entry also holds every web equal to mf that
+    asks for it, so compile_web's table keeps each alive: a ladder whose web
     equals another ladder's is built once per sweep, not at each meeting.
     Only returns are kept: a web that raises raises again on the next call."""
     red, held = _kept_contraction(mf)
@@ -708,7 +704,6 @@ def _contracted(mf):
     return red
 
 
-_contracted.__wrapped__ = _contract
 _contracted.cache_clear = _kept_contraction.cache_clear
 _contracted.cache_info = _kept_contraction.cache_info
 
@@ -750,12 +745,15 @@ def _graded_quotient_dim(ring, fs, d):
 
 
 def _certified_hilbert(ring, fs):
-    """Hilbert series of Q[vars]/(fs), certified to be a complete intersection.
+    """Hilbert series of Q[vars]/(fs), certified by its vanishing window.
 
-    The candidate series prod(1 - q^deg f) / prod(1 - q^deg y) must divide
-    exactly, match the honestly computed graded dimensions up to its top
-    degree T, and the quotient must stay zero on the window just above T.
-    Anything else raises IrreducibleToFinite.
+    The candidate prod(1 - q^deg f) / prod(1 - q^deg y) must divide exactly
+    into a series with positive coefficients; T = sum deg f - sum deg y is
+    its top degree. The quotient must then be zero in every even degree of
+    the window (T, T + max deg y]: that makes it zero above T, so the n
+    equations in n variables are a regular sequence and the candidate is
+    their Hilbert series (CONVENTIONS.md, "Certifying the Hilbert series").
+    No degree up to T is ranked. Anything else raises IrreducibleToFinite.
     """
     degs = [deg for _, deg in ring.gens]
     if len(fs) != len(degs):
@@ -774,15 +772,13 @@ def _certified_hilbert(ring, fs):
         expected = num.exact_divide(den)
     except NonExactDivision:
         raise IrreducibleToFinite("candidate Hilbert series is not polynomial")
-    T = sum(dfs) - sum(degs)
-    if T < 0 or not expected.has_nonneg_coeffs():
+    if not expected.has_nonneg_coeffs():
         raise IrreducibleToFinite("candidate Hilbert series is not effective")
-    for d in range(0, T + max(degs) + 1, 2):
+    T = sum(dfs) - sum(degs)
+    for d in range(T + 2, T + max(degs) + 1, 2):
         dim = _graded_quotient_dim(ring, fs, d)
-        want = expected.coeff(d) if d <= T else 0
-        if dim != want:
-            raise IrreducibleToFinite(
-                f"graded dimension {dim} at degree {d}, expected {want}")
+        if dim:
+            raise IrreducibleToFinite(f"graded dimension {dim} at degree {d}, expected 0")
     return expected
 
 

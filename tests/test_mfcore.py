@@ -373,7 +373,7 @@ def test_compile_copies_and_checks_once(monkeypatch):
 
 def test_ext_glue_matches_two_pass_route():
     # the gluing step of ext_qdim, on its contracted and renamed arguments
-    for u, v in _n2m2_pairs():
+    for u, v in _same_top_pairs(2, 3):
         a, b = exclude_variables(compile_web(u)), exclude_variables(compile_web(v))
         if a.is_zero_object() or b.is_zero_object():
             continue
@@ -663,11 +663,11 @@ def test_ext_agrees_with_form_on_small_ladders():
             assert h0 + h1 == web_form(u, v)
 
 
-def _n2m2_pairs():
-    """The 75 same-top pairs of N=2, m=2 ladders over (2, 0) with <= 3 rungs."""
-    lads = frontier = [Ladder(2, 2, (2, 0), [])]
-    for _ in range(3):
-        frontier = [ext for lad in frontier for sign in (1, -1) for a in (1, 2)
+def _same_top_pairs(N, max_rungs):
+    """The same-top pairs of N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
+    lads = frontier = [Ladder(N, 2, (N, 0), [])]
+    for _ in range(max_rungs):
+        frontier = [ext for lad in frontier for sign in (1, -1) for a in range(1, N + 1)
                     if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
         lads = lads + frontier
     by_top = {}
@@ -679,7 +679,7 @@ def _n2m2_pairs():
 def test_dual_commutes_with_exclusion(monkeypatch):
     # gluing the uncontracted first web through dual gives the same EXT as
     # ext_qdim, which contracts it first
-    pairs = _n2m2_pairs()
+    pairs = _same_top_pairs(2, 3)
     assert len(pairs) == 75
     real = mfcore.exclude_variables
     for u, v in pairs:
@@ -689,7 +689,7 @@ def test_dual_commutes_with_exclusion(monkeypatch):
             # the patched run neither reads nor keeps contractions: a kept one
             # would answer for a, and its uncontracted a would answer for an
             # equal b here and for the next pair's want
-            mp.setattr(mfcore, "_contracted", mfcore._contracted.__wrapped__)
+            mp.setattr(mfcore, "_contracted", lambda mf: mfcore.exclude_variables(mf))
             mp.setattr(mfcore, "exclude_variables", lambda mf: mf if mf is a else real(mf))
             assert ext_qdim(a, b) == want, (str(u), str(v))
 
@@ -1076,7 +1076,7 @@ def _builds_per_sweep(monkeypatch, pairs):
 
 
 def test_a_sweep_builds_each_web_once(monkeypatch):
-    pairs = _n2m2_pairs()
+    pairs = _same_top_pairs(2, 3)
     assert len(pairs) == 75 and _builds_per_sweep(monkeypatch, pairs) == [15, 0]
 
 
@@ -1108,19 +1108,6 @@ def test_residual_rows_ride_on_the_error():
 # ------------------------------------------- the Hilbert series certificate
 
 
-def _same_top_pairs(N, k, max_thick):
-    """The same-top pairs of N, m=2 ladders over (k, 0) with <= 2 rungs."""
-    lads = frontier = [Ladder(N, 2, (k, 0), [])]
-    for _ in range(2):
-        frontier = [ext for lad in frontier for sign in (1, -1) for a in range(1, max_thick + 1)
-                    if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
-        lads = lads + frontier
-    by_top = {}
-    for lad in lads:
-        by_top.setdefault(lad.top, []).append(lad)
-    return [(u, v) for group in by_top.values() for u, v in product(group, repeat=2)]
-
-
 def _certified_or_raised(certify, ring, fs):
     try:
         return certify(ring, fs)
@@ -1142,7 +1129,7 @@ def test_certificate_matches_the_reference_on_the_sweeps(monkeypatch):
     for N, k in ((2, 1), (3, 1), (3, 2)):
         ext_qdim(mf_edge(k, N), mf_edge(k, N))
     for N, want in ((3, 43), (4, 89)):
-        pairs = _same_top_pairs(N, N, N)
+        pairs = _same_top_pairs(N, 2)
         assert len(pairs) == want
         for u, v in pairs:
             ext_qdim(compile_web(u), compile_web(v))
@@ -1168,6 +1155,31 @@ def test_certificate_needs_the_whole_window():
     assert [mfcore._graded_quotient_dim(XZ, fs, d) for d in (0, 2, 4, 6, 8)] == [1, 1, 1, 0, 1]
     with pytest.raises(IrreducibleToFinite, match="degree 8"):
         mfcore._certified_hilbert(XZ, fs)
+
+
+def test_certificate_ranks_only_the_window(monkeypatch):
+    # the window alone proves the series, so no degree up to T is ranked
+    real = mfcore._graded_quotient_dim
+    asked = []
+
+    def spied(ring, fs, d):
+        asked.append(d)
+        return real(ring, fs, d)
+
+    monkeypatch.setattr(mfcore, "_graded_quotient_dim", spied)
+    mfcore._certified_hilbert(XZ, [X**2, Z**2])  # T = 6
+    assert asked == [8, 10]
+    asked.clear()
+    with pytest.raises(IrreducibleToFinite):
+        mfcore._certified_hilbert(XZ, [X**2, X * Z])  # T = 4
+    assert asked == [6, 8]
+
+
+@pytest.mark.parametrize("fs", [[XZ.const(1), Z], [XZ.const(3), Z**5], [XZ.const(1), XZ.const(2)]])
+def test_a_unit_in_the_system_certifies_zero(fs):
+    # a nonzero constant makes the numerator 0 and T anything, even negative;
+    # R/I is then 0 in every degree, and 0 is its Hilbert series
+    assert mfcore._certified_hilbert(XZ, fs) == LaurentPoly.zero()
 
 
 @pytest.mark.parametrize("fs", [[X**2, X**2], [X**2], [X**2, Z**2, X * Z]],
