@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -651,3 +652,53 @@ def test_push_matches_laurent_oracle():
                     v = u
                 closed = compose(reflect(u), v)
                 assert ev_closed(closed) == _oracle_ev_closed(closed), closed
+
+
+# ------------------------------------------------------- closed values pinned
+# Every same-top pair of five small sweeps, over the highest weight
+# (N, 0, ...) with at most max_rungs rungs of any thickness.
+PINNED_SWEEPS = ((2, (2, 0), 3), (3, (3, 0), 3), (2, (2, 0, 0), 3), (3, (3, 0, 0), 2), (4, (4, 0), 2))
+
+
+def _sweep(N, base, max_rungs):
+    lads = frontier = [Ladder(N, len(base), base)]
+    for _ in range(max_rungs):
+        frontier = [ext for lad in frontier for r in _rung_options(N, lad.m, lad.top)
+                    if (ext := lad.with_rung(r)) is not Zero]
+        lads = lads + frontier
+    return lads
+
+
+def _pinned_webs():
+    """(same-top pairs, closed ladders) of PINNED_SWEEPS: 757 pairs, 29 closed."""
+    pairs, closed = [], []
+    for sweep in PINNED_SWEEPS:
+        by_top = {}
+        for lad in _sweep(*sweep):
+            by_top.setdefault(lad.top, []).append(lad)
+        pairs += [(u, v) for group in by_top.values() for u in group for v in group]
+        closed += by_top.get(GlWeight(sweep[1]), [])
+    return pairs, closed
+
+
+# SHA-256 over str(web_form(u, v)), str(web_form(w, v)) and str(web_form(v, w))
+# with w = (2q - q^-1) u, for every pinned pair, then str(ev_closed(u)) and
+# str(reduce_to_highest(u)) for every closed u, each ended by a newline
+CLOSED_VALUES_DIGEST = "6128c67988760c24458839ec29adec51dcadedb16c1101070fba628e29b19888"
+
+
+def test_closed_values_are_pinned():
+    from qwebs.relations import reduce_to_highest
+
+    pairs, closed = _pinned_webs()
+    assert (len(pairs), len(closed)) == (757, 29)
+    c = 2 * Q(1) - Q(-1)
+    digest = hashlib.sha256()
+    for u, v in pairs:
+        w = WebLinComb.of(u, c)
+        for val in (web_form(u, v), web_form(w, v), web_form(v, w)):
+            digest.update(f"{val}\n".encode())
+    for u in closed:
+        for val in (ev_closed(u), reduce_to_highest(u)):
+            digest.update(f"{val}\n".encode())
+    assert digest.hexdigest() == CLOSED_VALUES_DIGEST
