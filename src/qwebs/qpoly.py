@@ -77,11 +77,11 @@ class LaurentPoly:
 
     @staticmethod
     def zero():
-        return LaurentPoly()
+        return LaurentPoly._raw({})
 
     @staticmethod
     def one():
-        return LaurentPoly({0: 1})
+        return LaurentPoly._raw({0: 1})
 
     @staticmethod
     def const(n):
@@ -110,7 +110,7 @@ class LaurentPoly:
 
     def bar(self):
         """The involution q -> q^-1."""
-        return LaurentPoly({-e: v for e, v in self._c.items()})
+        return LaurentPoly._raw({-e: v for e, v in self._c.items()})
 
     def evaluate(self, value):
         """Evaluate at an exact value (int or Fraction)."""
@@ -124,7 +124,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, int) and not isinstance(other, bool):
-            return LaurentPoly({0: other})
+            return LaurentPoly._raw({0: other} if other else {})
         return None
 
     def __add__(self, other):
@@ -134,12 +134,12 @@ class LaurentPoly:
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) + v
-        return LaurentPoly(c)
+        return LaurentPoly._raw({e: v for e, v in c.items() if v})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()})
+        return LaurentPoly._raw({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other):
         other = LaurentPoly._coerce(other)
@@ -162,7 +162,7 @@ class LaurentPoly:
             for e2, v2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c)
+        return LaurentPoly._raw({e: v for e, v in c.items() if v})
 
     __rmul__ = __mul__
 
@@ -246,7 +246,7 @@ class LaurentPoly:
         for v in quot.values():
             if v.denominator != 1:
                 raise NonExactDivision(f"({self}) / ({den}) leaves Z[q,q^-1]")
-        return LaurentPoly({e + ns - ds: int(v) for e, v in quot.items()})
+        return LaurentPoly._raw({e + ns - ds: int(v) for e, v in quot.items()})
 
 
 def bar(p):
@@ -258,7 +258,7 @@ def qint(n):
     """Balanced quantum integer [n] = q^(n-1) + q^(n-3) + ... + q^(1-n), n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"qint wants a nonnegative integer, got {n!r}")
-    return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
+    return LaurentPoly._raw({n - 1 - 2 * j: 1 for j in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -625,7 +625,7 @@ class MultiPoly:
                     num[ne] = nv
                 else:
                     num.pop(ne, None)
-        return MultiPoly(self.ring, quot)
+        return MultiPoly._raw(self.ring, _normal(quot))
 
 
 def exact_divide(num, den):

@@ -30,7 +30,7 @@ from itertools import product
 
 from .qpoly import LaurentPoly, qbinom, qbinom_ext
 from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, highest_weight_ladder, slices
-from .repfun import _maps_agree, web_form
+from .repfun import _maps_agree, ev_closed
 
 # each rule's label letters, in the order RelationInstance.labels holds them
 _LABELS = {
@@ -288,13 +288,11 @@ def reduce_to_highest(u):
     """
     if u is Zero:
         return LaurentPoly.zero()
-    if isinstance(u, Ladder):
-        u = WebLinComb.of(u)
     ell = sum(u.base) // u.N
     hw = highest_weight_ladder(u.N, u.m, ell)
     if tuple(hw.base) != tuple(u.base) or tuple(u.top) != tuple(u.base):
         raise ValueError("reduce_to_highest wants a closed web on the highest weight")
-    val = web_form(WebLinComb.of(hw), u)
+    val = ev_closed(u)
     if not val.is_zero() and not val.has_nonneg_coeffs():
         raise NegativeCoefficient(str(val))
     return val

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .qpoly import LaurentPoly
+
 
 class WeightMismatch(ValueError):
     """Raised when composing ladders whose boundary weights do not agree."""
@@ -318,8 +320,6 @@ class WebLinComb:
     __slots__ = ("N", "m", "base", "top", "_terms")
 
     def __init__(self, N, m, base, top, terms=None):
-        from .qpoly import LaurentPoly
-
         self.N = N
         self.m = m
         self.base = GlWeight(base)
@@ -340,8 +340,6 @@ class WebLinComb:
 
     @staticmethod
     def of(ladder, coeff=1):
-        from .qpoly import LaurentPoly
-
         if isinstance(coeff, int):
             coeff = LaurentPoly.const(coeff)
         return WebLinComb(ladder.N, ladder.m, ladder.base, ladder.top, {ladder: coeff})
@@ -350,8 +348,6 @@ class WebLinComb:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
     def coeff(self, ladder):
-        from .qpoly import LaurentPoly
-
         return self._terms.get(ladder, LaurentPoly.zero())
 
     def is_zero(self):
@@ -380,8 +376,6 @@ class WebLinComb:
         return self + (-other)
 
     def __mul__(self, scalar):
-        from .qpoly import LaurentPoly
-
         if isinstance(scalar, int):
             scalar = LaurentPoly.const(scalar)
         if not isinstance(scalar, LaurentPoly):

@@ -76,17 +76,30 @@ def test_only_webs_slices_applies_rungs():
     assert loads == {("webs.py", "slices")}
 
 
-def units_loading(path, name):
-    """The top-level functions and class members of a module that load name,
-    with methods named by their class."""
-    loads = set()
+def units(path):
+    """(name, node) of the top-level functions, class members and assignments
+    of a module; methods are named by their class, assignments by their
+    targets."""
     for top in ast.parse(path.read_text(), filename=str(path)).body:
-        units = ([(f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body]
-                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for unit_name, unit in units:
-            if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(unit)):
-                loads.add(unit_name)
-    return loads
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{getattr(node, 'name', '')}", node) for node in top.body)
+        elif isinstance(top, ast.Assign):
+            yield ", ".join(ast.unparse(t) for t in top.targets), top
+        else:
+            yield getattr(top, "name", None), top
+
+
+def units_loading(path, name):
+    """The units of a module that load name."""
+    return {unit_name for unit_name, unit in units(path)
+            if any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(unit))}
+
+
+def units_calling(path, name):
+    """The units of a module that call name(...) directly."""
+    return {unit_name for unit_name, unit in units(path)
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                   for node in ast.walk(unit))}
 
 
 def test_mfcore_builds_few_graded_rings():
@@ -139,3 +152,21 @@ def test_only_cli_run_writes_stdout():
                 if not any(kw.arg == "file" for kw in node.keywords):
                     writers.add(getattr(top, "name", None))
     assert writers == {"run"}
+
+
+def test_checking_constructors_take_only_outside_values():
+    # arithmetic results go through the trusted _raw constructors; the
+    # checking ones build only polynomials from values handed in
+    src = sorted((ROOT / "src" / "qwebs").glob("*.py"))
+    laurent = {(p.name, unit) for p in src for unit in units_calling(p, "LaurentPoly")}
+    multi = {(p.name, unit) for p in src for unit in units_calling(p, "MultiPoly")}
+    assert laurent == {("qpoly.py", "LaurentPoly.const"), ("qpoly.py", "LaurentPoly.q_power"),
+                       ("repfun.py", "WEDGE_FLIP")}
+    assert multi == {("qpoly.py", f"PolyRing.{name}") for name in ("zero", "one", "const", "var")}
+
+
+def test_repfun_neither_composes_nor_reflects():
+    # web_form pushes one rung list per pair of terms along the ladders' own
+    # slices, so the representation side builds no stacked or flipped ladder
+    path = ROOT / "src" / "qwebs" / "repfun.py"
+    assert units_loading(path, "compose") == units_loading(path, "reflect") == set()

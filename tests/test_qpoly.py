@@ -145,6 +145,32 @@ def test_bar_multiplicative(a, b):
     assert bar(a * b) == bar(a) * bar(b)
 
 
+def _in_normal_form(p):
+    return all(type(e) is int and type(v) is int and v for e, v in p._c.items())
+
+
+@given(laurents, laurents, st.integers(min_value=-3, max_value=3))
+def test_arithmetic_results_are_in_normal_form(a, b, n):
+    # results go through the trusted LaurentPoly._raw, so each operation
+    # drops the zeros it leaves itself
+    results = [a + b, a - b, -a, a * b, bar(a), a + n, n * a, n - a,
+               LaurentPoly.zero(), LaurentPoly.one(), qint(abs(n))]
+    if not b.is_zero():
+        results.append(exact_divide(a * b, b))
+    for r in results:
+        assert _in_normal_form(r) and r == LaurentPoly(r.coeffs()), r
+    assert (a - a).coeffs() == {} and (a * 0).coeffs() == {}
+
+
+def test_multipoly_quotient_is_in_normal_form():
+    ring = PolyRing([("a", 2), ("b", 4)])
+    a, b = ring.var("a"), ring.var("b")
+    quot = ((a ** 2 + b) * (a ** 3 - 2 * b + 1)).exact_divide(a ** 2 + b)
+    assert all(type(v) is int and v for v in quot.terms().values())
+    half = (a + b).exact_divide(ring.const(2))
+    assert half.terms() == {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}
+
+
 # ------------------------------------------------------------------ text form
 
 

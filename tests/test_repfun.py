@@ -292,6 +292,78 @@ def test_both_certificates_reject_a_moved_index():
     assert mutants == 38
 
 
+P, QP = 1000003, 123457  # a prime, and the point q = QP of GF(P)
+
+
+def _restricted_rows(N, src, dst):
+    """The checks of repfun._commutes as linear equations in the entries
+    f[(y, x)] of a map src -> dst, at q = QP over GF(P): f(g x) = g(f x),
+    one equation {(y, x): coefficient} per target z, for g = E_i on every x
+    holding i+1 and g = F_i on every x holding i."""
+    rows = []
+    for i in range(1, N):
+        for gen, held in (("E", i + 1), ("F", i)):
+            for x in src:
+                if not any(held in T for T in x):
+                    continue
+                eqs = {}
+                for x2, t in repfun._gen_terms(i, gen, x):
+                    for z in dst:
+                        row = eqs.setdefault(z, {})
+                        row[(z, x2)] = row.get((z, x2), 0) + pow(QP, t, P)
+                for y in dst:
+                    for z, t in repfun._gen_terms(i, gen, y):
+                        row = eqs.setdefault(z, {})
+                        row[(y, x)] = row.get((y, x), 0) - pow(QP, t, P)
+                rows += eqs.values()
+    return rows
+
+
+def _nullity(rows, unknowns):
+    """Dimension over GF(P) of the solutions supported on unknowns."""
+    col = {u: n for n, u in enumerate(unknowns)}
+    pivots = {}
+    for row in rows:
+        r = {col[u]: c % P for u, c in row.items() if u in col and c % P}
+        while r:
+            lead = min(r)
+            if lead not in pivots:
+                inv = pow(r[lead], -1, P)
+                pivots[lead] = {c: v * inv % P for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in pivots[lead].items():
+                v = (r.get(c, 0) - f * v) % P
+                if v:
+                    r[c] = v
+                else:
+                    r.pop(c, None)
+    return len(unknowns) - len(pivots)
+
+
+def test_e_and_f_checks_alone_certify_a_piece():
+    # the restricted E_i / F_i checks admit no map that changes the index
+    # multiset of a term (a zero nullity at one q is zero over Q(q)), and
+    # with every pair allowed their solutions are the multiples of the piece
+    def content(x):
+        return sorted(j for T in x for j in T)
+
+    for N in range(2, 5):
+        for a in range(N + 1):
+            for b in range(N + 1 - a):
+                piece = repfun._piece(a, b, N)
+                pairs = FockBasis(N, (a, b)).elements
+                whole = FockBasis(N, (a + b,)).elements
+                for src, dst, cols in ((pairs, whole, piece.merge), (whole, pairs, piece.split)):
+                    rows = _restricted_rows(N, src, dst)
+                    every = [(y, x) for x in src for y in dst]
+                    moved = [(y, x) for y, x in every if content(y) != content(x)]
+                    assert _nullity(rows, moved) == 0, (N, a, b, len(src))
+                    assert _nullity(rows, every) == 1, (N, a, b, len(src))
+                    f = {(y, x): s * pow(QP, e, P) for x, col in cols.items() for y, e, s in col}
+                    assert all(sum(c * f.get(u, 0) for u, c in row.items()) % P == 0 for row in rows)
+
+
 def test_certificate_fails_under_wrong_wedge_sign(monkeypatch):
     caches = (repfun.merge_matrix, repfun.split_matrix, repfun._piece, repfun._local_rung_cols)
     for cache in caches:
@@ -702,3 +774,39 @@ def test_closed_values_are_pinned():
         for val in (ev_closed(u), reduce_to_highest(u)):
             digest.update(f"{val}\n".encode())
     assert digest.hexdigest() == CLOSED_VALUES_DIGEST
+
+
+def test_closed_values_build_no_webs_or_bases(monkeypatch):
+    # each pair of terms is one push along the ladders' own slices, so once
+    # the pieces are cached no ladder, combination or basis is built;
+    # reduce_to_highest builds at most its identity ladder, for its check
+    from qwebs import relations
+    from qwebs.relations import reduce_to_highest
+
+    pairs, closed = _pinned_webs()
+    c = 2 * Q(1) - Q(-1)
+    combs = {u: WebLinComb.of(u, c) for u, _ in pairs}
+    for u, v in pairs:
+        web_form(u, v)
+    built = []
+    for cls, name in ((Ladder, "__post_init__"), (WebLinComb, "__init__"), (FockBasis, "__init__")):
+        def spied(self, *args, _real=getattr(cls, name), _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, spied)
+
+    def refuse(*args):
+        raise AssertionError("reduce_to_highest went through web_form")
+
+    monkeypatch.setattr(repfun, "web_form", refuse)
+    monkeypatch.setattr(relations, "web_form", refuse, raising=False)
+    for u, v in pairs:
+        for left, right in ((u, v), (combs[u], v), (v, combs[u])):
+            web_form(left, right)
+    for u in closed:
+        ev_closed(u)
+        ev_closed(combs[u])
+    assert built == []
+    for u in closed:
+        reduce_to_highest(u)
+    assert set(built) <= {"Ladder"}
