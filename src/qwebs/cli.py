@@ -196,11 +196,8 @@ def _cmd_compile_mf(ns):
     mf = compile_web(_parse_web(ns.web))
     return dump_mf(mf).splitlines(), {
         "N": mf.N,
-        "ring": [
-            {"var": f"{name}.{j}", "degree": 2 * j, "alphabet": name}
-            for name, idx in mf.gr.alphabets
-            for j in idx
-        ],
+        "ring": [{"var": x, "degree": deg, "alphabet": name}
+                 for (x, deg), name in zip(mf.gr.ring.gens, mf.gr.owners)],
         "rows": [{"p": str(p), "q": str(q)} for p, q, _, _ in mf.rows],
         "qshift": mf.qshift,
         "hshift": mf.hshift,

@@ -47,12 +47,13 @@ class GradedRing:
     """Polynomial ring whose generators come in named alphabets.
 
     An alphabet of size k contributes variables name.1 .. name.k with
-    deg(name.j) = 2j. After exclusions an alphabet may hold a sparse set of
-    indices, so internally each alphabet is a tuple of surviving indices.
-    Empty alphabets are pruned at construction.
+    deg(name.j) = 2j; no other code makes these names. After exclusions an
+    alphabet may hold a sparse set of indices, so internally each alphabet is
+    a tuple of surviving indices. Empty alphabets are pruned at construction.
+    The ring's slots run through the alphabets in order; owners[i] is slot i's.
     """
 
-    __slots__ = ("alphabets", "ring")
+    __slots__ = ("alphabets", "ring", "owners")
 
     def __init__(self, alphabets):
         out = []
@@ -71,6 +72,7 @@ class GradedRing:
                 out.append((name, idx))
         self.alphabets = tuple(out)
         self.ring = PolyRing([(f"{n}.{j}", 2 * j) for n, idx in self.alphabets for j in idx])
+        self.owners = tuple(n for n, idx in self.alphabets for _ in idx)
 
     def names(self):
         return tuple(n for n, _ in self.alphabets)
@@ -244,12 +246,12 @@ def tensor_all(factors, N):
     return _glue([(f, {}) for f in factors], N)
 
 
-def _index_map(alphabets, renames, ring):
+def _index_map(alphabets, renames, gr):
     """The slot map of MultiPoly._moved from the generators of alphabets,
-    named through renames, into ring: for each generator of ring, its place
-    among them, or their count where it is not one of them."""
-    pos = [ring.index(f"{renames.get(n, n)}.{j}") for n, idx in alphabets for j in idx]
-    pick = [len(pos)] * len(ring)
+    named through renames, into gr, which carries each with the same indices:
+    for each slot of gr, its place among them, or their count where none."""
+    pos = [gr.owners.index(renames.get(n, n)) + k for n, idx in alphabets for k in range(len(idx))]
+    pick = [len(pos)] * len(gr.owners)
     for i, j in enumerate(pos):
         pick[j] = i
     return pick
@@ -286,7 +288,7 @@ def _glue(placed, N):
     qshift = hshift = 0
     base = (0,)
     for f, renames in placed:
-        pick = _index_map(f.gr.alphabets, renames, ring)
+        pick = _index_map(f.gr.alphabets, renames, gr)
         rows.extend((p._moved(ring, pick), q._moved(ring, pick), dp, dq)
                     for p, q, dp, dq in f.rows)
         for name, sign in f.boundary.items():
@@ -303,11 +305,9 @@ def _glue(placed, N):
 
 
 def _p_at_slots(gr, N, slots):
-    """power_sum_in_e(N+1, k) with the i-th elementary slot set to slots[i-1]."""
+    """power_sum_in_e(N+1, k) moved by slot into gr, with e_i set to slots[i-1]."""
     k = len(slots)
-    P = power_sum_in_e(N + 1, k)
-    mapping = {f"e{i}": slots[i - 1] for i in range(1, k + 1)}
-    return P.substitute(mapping, ring=gr.ring)
+    return power_sum_in_e(N + 1, k)._moved(gr.ring, [k] * len(gr.owners), dict(enumerate(slots)))
 
 
 def _quotient_rows(gr, N, top_slots, bot_slots):
@@ -458,7 +458,7 @@ def check_potential(mf):
         idx = mf.gr.indices(name)
         if idx != tuple(range(1, len(idx) + 1)):
             raise ValueError(f"boundary alphabet {name} is not contiguous")
-        pick = _index_map([(name, idx)], {}, ring)
+        pick = _index_map([(name, idx)], {}, mf.gr)
         declared = declared + sign * power_sum_in_e(mf.N + 1, len(idx))._moved(ring, pick)
     return mf.potential() == declared
 
@@ -479,9 +479,7 @@ def _zero_object(N):
 
 def _internal_slots(mf):
     """The slots, in ring order, of the generators outside the boundary alphabets."""
-    protected = set(mf.boundary)
-    return [i for i, (n, _) in enumerate(mf.gr.ring.gens)
-            if n.rsplit(".", 1)[0] not in protected]
+    return [i for i, n in enumerate(mf.gr.owners) if n not in mf.boundary]
 
 
 def _flipped(qshift, hshift, dp, dq):
@@ -826,7 +824,8 @@ def ext_qdim(a, b):
             qsh, hsh = _flipped(qsh, hsh, dp, dq)
             fs.append(p)
         else:
-            used = [x for x, _ in red.gr.ring.gens if any(f.uses(x) for r in red.rows for f in r[:2])]
+            used = [x for i, x in enumerate(red.gr.ring.names())
+                    if any(e[i] for r in red.rows for f in r[:2] for e in f._t)]
             raise IrreducibleToFinite(f"a row kept both entries nonzero: {len(red.rows)} residual"
                                       f" rows over {', '.join(used)}", red.rows, used)
 
@@ -849,9 +848,8 @@ def ext_qdim(a, b):
 def dump_mf(mf):
     """Deterministic text form: ring, rows as 'p ; q', then the shifts."""
     lines = [f"N: {mf.N}", "ring:"]
-    for name, idx in mf.gr.alphabets:
-        for j in idx:
-            lines.append(f"  {name}.{j}: {2 * j} [{name}]")
+    for (x, deg), name in zip(mf.gr.ring.gens, mf.gr.owners):
+        lines.append(f"  {x}: {deg} [{name}]")
     lines.append("rows:")
     for p, q, dp, dq in mf.rows:
         lines.append(f"  {p} ; {q}")

@@ -232,7 +232,9 @@ class Ladder:
 
 
 def make_ladder(N, m, base, rungs):
-    """Ladder or Zero, without raising on out-of-range intermediate weights."""
+    """Ladder or Zero, without raising on weights outside [0, N]; N < 2 raises."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     if slices(N, base, rungs) is Zero:
         return Zero
     return Ladder(N, m, base, tuple(rungs))
@@ -243,8 +245,10 @@ def ladder_from_sequence(seq, lmbda, m, d, N):
 
     seq lists (sign, position, thickness) as the factors of an operator
     product, so the rightmost entry acts first and becomes the bottom rung.
-    Returns Zero when the weight has no gl lift or a rung leaves [0, N].
+    N < 2 raises; Zero when the weight has no gl lift or a rung leaves [0, N].
     """
+    if N < 2:
+        raise ValueError("need N >= 2")
     base = phi(lmbda, m, d, N)
     if base is Star:
         return Zero

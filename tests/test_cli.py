@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import pytest
 import qwebs.cli as cli
 from qwebs.cli import run
 from qwebs.mfcore import IrreducibleToFinite
+from qwebs.qpoly import LaurentPoly
 from qwebs.repfun import web_form
 from qwebs.webs import Ladder
 
+ROOT = Path(__file__).resolve().parent.parent
 WL = "N=2 m=2 base=[2,0] rungs=[]"
 FRUNG = "N=2 m=2 base=[2,0] rungs=[F1^1]"
 DIGON = "N=2 m=2 base=[2,0] rungs=[F1^1, E1^1]"
@@ -101,6 +104,19 @@ def test_gram_zero_sequence_gives_zero_row(capsys):
     assert all(e["row"] == 1 and e["col"] == 1 for e in data["entries"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["ladder", "N=1", "m=2", "d=1", "lambda=[1]", "seq=F1"],
+    ["ladder", "N=1", "m=2", "d=2", "lambda=[2]", "seq=F1"],
+    ["gram", "N=1", "m=2", "d=2", "lambda=[2]", "seqs=F1; 1"],
+])
+def test_small_n_is_refused_whatever_the_weights(capsys, argv):
+    # N < 2 is refused before any weight is lifted or walked, so no call
+    # prints ZERO or a Gram matrix for it
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "need N >= 2" in err
+
+
 def test_gram_rejects_mixed_weight_spaces(capsys):
     assert run(["gram", "N=2", "m=2", "d=2", "lambda=[2]", "seqs=1; F1^1"]) == 1
     assert "different weight spaces" in capsys.readouterr().err
@@ -183,8 +199,7 @@ def test_ext_dim_irreducible_exit(monkeypatch, capsys):
 def _ext_dim_subprocess(left, right):
     # exclude_variables must terminate; a subprocess lets the timeout catch a
     # loop
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([sys.executable, "-m", "qwebs.cli", "ext-dim", left, right],
                           env=env, capture_output=True, text=True, timeout=20)
 
@@ -302,3 +317,61 @@ def test_console_entry_point():
     with pytest.raises(SystemExit) as exc:
         cli.main(["enumerate", "m=1", "d=1", "N=2"])
     assert exc.value.code == 0
+
+
+# ------------------------------------- the pinned calls of the cli benchmark
+
+
+def _pinned_calls():
+    """The calls of perfbench/cli_expected.json, which this file reads only."""
+    with open(ROOT / "perfbench" / "cli_expected.json") as fh:
+        return json.load(fh)["calls"]
+
+
+def _laurent(text):
+    """The LaurentPoly that LaurentPoly.__str__ prints as text."""
+    words = text.split(" ")
+    out = LaurentPoly.zero()
+    for sign, body in zip(["+"] + words[1::2], words[0::2]):
+        head, q, tail = body.lstrip("-").partition("q")
+        coeff = int(head or 1) * (-1 if (sign == "-") != body.startswith("-") else 1)
+        out = out + LaurentPoly.q_power((int(tail[1:]) if tail else 1) if q else 0, coeff)
+    return out
+
+
+def test_pinned_calls_in_process(capsys):
+    calls = _pinned_calls()
+    assert len(calls) == 35
+    bad = []
+    for call in calls:
+        code = run(list(call["argv"]))
+        out = capsys.readouterr().out
+        if "form" in call:
+            # a call pinned by the form of its two webs, not by its bytes
+            form = _laurent(call["form"])
+            assert str(form) == call["form"]
+            dims = dict(line.split(": ", 1) for line in out.splitlines())
+            ok = code == 0 and _laurent(dims["dim0"]) + _laurent(dims["dim1"]) == form
+        else:
+            ok = (code == call["exit"]
+                  and hashlib.sha256(out.encode()).hexdigest() == call["stdout_sha256"])
+        if not ok:
+            bad.append((call["argv"], code, out[:200]))
+    assert bad == []
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_pinned_compile_and_ext_calls_as_processes(hashseed):
+    # the bytes do not depend on the interpreter's string hashing
+    calls = [c for c in _pinned_calls()
+             if c["argv"][0] in ("compile-mf", "ext-dim") and "stdout_sha256" in c]
+    assert len(calls) == 8
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
+    bad = []
+    for call in calls:
+        done = subprocess.run([sys.executable, "-m", "qwebs.cli", *call["argv"]], env=env,
+                              capture_output=True, timeout=20)
+        if (done.returncode != call["exit"]
+                or hashlib.sha256(done.stdout).hexdigest() != call["stdout_sha256"]):
+            bad.append((call["argv"], done.returncode, done.stdout[:200]))
+    assert bad == []

@@ -170,3 +170,33 @@ def test_repfun_neither_composes_nor_reflects():
     # slices, so the representation side builds no stacked or flipped ladder
     path = ROOT / "src" / "qwebs" / "repfun.py"
     assert units_loading(path, "compose") == units_loading(path, "reflect") == set()
+
+
+def test_only_graded_ring_names_variables():
+    # inside the library a variable is a ring slot: GradedRing alone joins an
+    # alphabet and an index into a name, nothing parses one back, and no
+    # polynomial moves between rings by name
+    def calls(tree, attrs):
+        return [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute) and node.func.attr in attrs]
+
+    def joins(unit):
+        # an f-string with "{alphabet}.{index}" in it
+        return any(isinstance(node, ast.JoinedStr)
+                   and any(isinstance(a, ast.FormattedValue) and isinstance(c, ast.Constant)
+                           and c.value == "." and isinstance(b, ast.FormattedValue)
+                           for a, c, b in zip(node.values, node.values[1:], node.values[2:]))
+                   for node in ast.walk(unit))
+
+    src = ROOT / "src" / "qwebs"
+    by_name = {path.name: [unit for unit, node in units(path)
+                           if calls(node, {"substitute", "convert", "uses"})]
+               for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in by_name.items() if found} == {}
+    assert calls(ast.parse((src / "mfcore.py").read_text()), {"rsplit"}) == []
+    cli_tree = ast.parse((src / "cli.py").read_text())
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "alphabets"
+                   for node in ast.walk(cli_tree))
+    naming = {(path, unit) for path in ("mfcore.py", "cli.py")
+              for unit, node in units(src / path) if joins(node)}
+    assert naming == {("mfcore.py", "GradedRing.__init__"), ("mfcore.py", "GradedRing.var")}

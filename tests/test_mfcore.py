@@ -14,7 +14,7 @@ import pytest
 from qwebs import mfcore
 from oracles import certified_hilbert
 from qwebs.qpoly import LaurentPoly, MultiPoly, PolyRing
-from qwebs.webs import Ladder, Rung, Zero
+from qwebs.webs import Ladder, Rung, Zero, d_norm
 from qwebs.mfcore import (
     GradedRing,
     IrreducibleToFinite,
@@ -61,6 +61,14 @@ def test_graded_ring_basics():
     assert gr.size("missing") == 0
     with pytest.raises(ValueError):
         GradedRing([("a", 1), ("a", 2)])
+
+
+def test_owners_name_the_alphabet_of_each_slot():
+    # slots run through the alphabets in order, sparse and dotted ones too
+    gr = GradedRing([("a", 2), ("b", 0), ("c", (2, 3)), ("d.x", 1)])
+    assert gr.owners == ("a", "a", "c", "c", "d.x")
+    assert gr.ring.names() == ("a.1", "a.2", "c.2", "c.3", "d.x.1")
+    assert GradedRing([]).owners == ()
 
 
 def test_empty_alphabets_are_pruned():
@@ -760,6 +768,44 @@ def test_exclusion_output_is_pinned():
             digest.update(f"IrreducibleToFinite: {exc}\n".encode())
     assert raised == 17
     assert digest.hexdigest() == EXCLUSION_DIGEST
+
+
+# ------------------------------------------- EXT identities without the form
+
+
+@pytest.fixture(scope="module")
+def n3_sweep_ext():
+    """ext_qdim of each of the 400 same-top pairs at N=3, m=2, base (3, 0)
+    with <= 3 rungs, by pair; None where it raises IrreducibleToFinite."""
+    pairs = _same_top_pairs(3, 3)
+    assert len(pairs) == 400
+    out = {}
+    for u, v in pairs:
+        try:
+            out[u, v] = ext_qdim(compile_web(u), compile_web(v))
+        except IrreducibleToFinite:
+            out[u, v] = None
+    return out
+
+
+def test_ext_has_no_odd_part_on_the_n3_sweep(n3_sweep_ext):
+    # measured, not derived (CONVENTIONS.md, "EXT identities"); a pair that
+    # raises is passed over, so a readout that answers it later needs no edit
+    answered = {uv: h for uv, h in n3_sweep_ext.items() if h is not None}
+    assert len(answered) >= 383
+    assert [(str(u), str(v)) for (u, v), (_, h1) in answered.items() if not h1.is_zero()] == []
+
+
+def test_ext_is_bar_symmetric_on_the_n3_sweep(n3_sweep_ext):
+    # h0(v, u) = q^(2 d(k)) * bar(h0(u, v)) at the common top k, the form's
+    # own symmetry one level up; it needs dual's internal q-shift
+    both = [(u, v) for (u, v), h in n3_sweep_ext.items()
+            if h is not None and n3_sweep_ext[v, u] is not None]
+    assert len(both) >= 376
+    bad = [(str(u), str(v)) for u, v in both
+           if n3_sweep_ext[v, u][0]
+           != LaurentPoly.q_power(2 * d_norm(u.top, u.N)) * n3_sweep_ext[u, v][0].bar()]
+    assert bad == []
 
 
 # ------------------------------------------------ the one elimination step
