@@ -25,7 +25,7 @@ import json
 import sys
 
 from .mfcore import IrreducibleToFinite, compile_web, dump_mf, ext_qdim
-from .relations import verify_report
+from .relations import RULES, verify_report
 from .repfun import ev_closed, web_form
 from .webs import Ladder, Rung, Zero, enumerate_weights, ladder_from_sequence
 
@@ -184,6 +184,8 @@ def _cmd_gram(ns):
 
 def _cmd_verify_relations(ns):
     p = _params(ns.params, ("N",), ("rules",))
+    if p.get("rules") == ():  # relation_instances would read it as every rule
+        raise CliError(f"rules= names no rule (available: {', '.join(RULES)})")
     lines = verify_report(p["N"], p.get("rules"))
     failed = sum(1 for line in lines if line.endswith(" FAIL"))
     passed = len(lines) - failed

@@ -36,12 +36,11 @@ def wedge_normal_form(word):
     word = tuple(word)
     if len(set(word)) != len(word):
         return Zero
-    inv = 0
-    for a in range(len(word)):
-        for b in range(a + 1, len(word)):
-            if word[a] > word[b]:
-                inv += 1
-    return WEDGE_FLIP ** inv, tuple(sorted(word))
+    return WEDGE_FLIP ** _inversions(word), tuple(sorted(word))
+
+
+def _inversions(word):
+    return sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
 
 
 class FockBasis:
@@ -271,47 +270,6 @@ def _commutes(N, cols):
 # ------------------------------------------------------------ merge and split
 
 
-@lru_cache(maxsize=None)
-def merge_matrix(a, b, N):
-    """Wedge multiplication Lambda^a (x) Lambda^b -> Lambda^(a+b).
-
-    Only disjoint pairs (A, B) survive, so each column comes from a subset
-    S of size a+b and a choice of A inside it. Column indices follow the
-    FockBasis(N, (a, b)) order: A's position times the number of B's, plus
-    B's position.
-    """
-    if a < 0 or b < 0 or a + b > N:
-        raise ValueError(f"merge({a}, {b}) does not fit in N={N}")
-    ia, ib, iw = ({T: i for i, T in enumerate(combinations(range(1, N + 1), k))}
-                  for k in (a, b, a + b))
-    entries = {}
-    for S, row in iw.items():
-        for A in combinations(S, a):
-            B = tuple(x for x in S if x not in A)
-            coeff, _ = wedge_normal_form(A + B)
-            entries[(row, ia[A] * len(ib) + ib[B])] = coeff
-    return QMatrix(len(iw), len(ia) * len(ib), entries)
-
-
-@lru_cache(maxsize=None)
-def split_matrix(a, b, N):
-    """The reverse intertwiner Lambda^(a+b) -> Lambda^a (x) Lambda^b: q^(ab) merge^T.
-
-    Lambda^(a+b) occurs once in Lambda^a (x) Lambda^b, so the intertwiner is
-    unique up to scale. The sum over splittings of q^(-2 inv) is
-    q^(-ab) [a+b; a], so q^(ab) is the scale at which merging back gives
-    qbinom(a+b, a).
-    """
-    if a < 0 or b < 0 or a + b > N:
-        raise ValueError(f"split({a}, {b}) does not fit in N={N}")
-    m = merge_matrix(a, b, N)
-    scale = LaurentPoly.q_power(a * b)
-    return QMatrix(m.ncols, m.nrows, {(c, r): v * scale for (r, c), v in m.entries().items()})
-
-
-# -------------------------------------------------------------------- rungs
-
-
 def _monomial(p):
     """(e, sign) of a signed monomial sign * q^e; raises on anything else."""
     c = p.coeffs()
@@ -320,14 +278,6 @@ def _monomial(p):
         if sign in (1, -1):
             return e, sign
     raise ValueError(f"{p} is not a signed monomial")
-
-
-def _monomial_cols(m, src, dst):
-    """Columns of a QMatrix as {src elem: [(dst elem, e, +-1)]}."""
-    cols = {}
-    for (r, c), v in m.entries().items():
-        cols.setdefault(src[c], []).append((dst[r], *_monomial(v)))
-    return cols
 
 
 class _Piece:
@@ -350,11 +300,52 @@ class _Piece:
 
 @lru_cache(maxsize=None)
 def _piece(a, b, N):
-    """The _Piece of merge_matrix(a, b, N) and split_matrix(a, b, N)."""
-    pairs = FockBasis(N, (a, b)).elements
-    whole = FockBasis(N, (a + b,)).elements
-    return _Piece(N, _monomial_cols(merge_matrix(a, b, N), pairs, whole),
-                  _monomial_cols(split_matrix(a, b, N), whole, pairs))
+    """Merge Lambda^a (x) Lambda^b -> Lambda^(a+b) and its reverse split.
+
+    Only disjoint pairs (A, B) multiply to nonzero, so both come from one
+    loop over the subsets S of size a+b and the choices of A inside S, with
+    A ^ B = WEDGE_FLIP^inv S = +-q^e S: merge sends (A, B) to +-q^e S, split
+    sends S to the sum of +-q^(e+ab) (A, B). Lambda^(a+b) occurs once in
+    Lambda^a (x) Lambda^b, so the split is unique up to scale; the sum over
+    splittings of q^(-2 inv) is q^(-ab) [a+b; a], so q^(ab) is the scale at
+    which merging back gives qbinom(a+b, a).
+    """
+    flip, sign = _monomial(WEDGE_FLIP)
+    merge, split = {}, {}
+    for S in combinations(range(1, N + 1), a + b):
+        col = split[(S,)] = []
+        for A in combinations(S, a):
+            B = tuple(x for x in S if x not in A)
+            inv = _inversions(A + B)
+            e, s = flip * inv, sign ** inv
+            merge[(A, B)] = [((S,), e, s)]
+            col.append(((A, B), e + a * b, s))
+    return _Piece(N, merge, split)
+
+
+def _piece_matrix(cols, src, dst):
+    """QMatrix between FockBases src and dst of columns {src elem: [(dst elem, e, +-1)]}."""
+    return QMatrix._raw(dst.dim, src.dim, {(dst.index(y), src.index(x)): LaurentPoly._raw({e: s})
+                                           for x, col in cols.items() for y, e, s in col})
+
+
+@lru_cache(maxsize=None)
+def merge_matrix(a, b, N):
+    """Wedge multiplication Lambda^a (x) Lambda^b -> Lambda^(a+b): _piece(a, b, N).merge."""
+    if a < 0 or b < 0 or a + b > N:
+        raise ValueError(f"merge({a}, {b}) does not fit in N={N}")
+    return _piece_matrix(_piece(a, b, N).merge, FockBasis(N, (a, b)), FockBasis(N, (a + b,)))
+
+
+@lru_cache(maxsize=None)
+def split_matrix(a, b, N):
+    """The reverse intertwiner Lambda^(a+b) -> Lambda^a (x) Lambda^b: _piece(a, b, N).split."""
+    if a < 0 or b < 0 or a + b > N:
+        raise ValueError(f"split({a}, {b}) does not fit in N={N}")
+    return _piece_matrix(_piece(a, b, N).split, FockBasis(N, (a + b,)), FockBasis(N, (a, b)))
+
+
+# -------------------------------------------------------------------- rungs
 
 
 def _rung_pieces(ki, kj, sign, a, N):

@@ -277,6 +277,8 @@ def reflect(u):
 
 def enumerate_weights(m, d, N):
     """All gl weights with m parts in [0, N] summing to d, lex descending."""
+    if N < 2:
+        raise ValueError("need N >= 2")
     out = []
 
     def rec(prefix, rem):
@@ -300,6 +302,8 @@ def d_norm(k, N):
     Half of N(N-1)l minus the sum of k_i(k_i - 1), where l = sum(k)/N.
     Raises NonIntegral when the thickness total is not a multiple of N.
     """
+    if N < 2:
+        raise ValueError("need N >= 2")
     k = GlWeight(k)
     total = k.total()
     if total % N:

@@ -117,6 +117,13 @@ def test_small_n_is_refused_whatever_the_weights(capsys, argv):
     assert out == "" and "need N >= 2" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_enumerate_refuses_small_n(capsys, n):
+    assert run(["enumerate", "m=2", "d=2", f"N={n}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "need N >= 2" in err
+
+
 def test_gram_rejects_mixed_weight_spaces(capsys):
     assert run(["gram", "N=2", "m=2", "d=2", "lambda=[2]", "seqs=1; F1^1"]) == 1
     assert "different weight spaces" in capsys.readouterr().err
@@ -142,6 +149,15 @@ def test_verify_relations_unknown_rule(capsys):
     # the rule names are checked before N
     assert run(["verify-relations", "N=1", "rules=pentagon"]) == 1
     assert "unknown rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rules", ["rules=", "rules=,"])
+def test_verify_relations_refuses_an_empty_rule_list(capsys, rules):
+    # relation_instances reads no rules as every rule; the command line
+    # asks for a name instead of running the whole sweep
+    assert run(["verify-relations", "N=2", rules]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: rules= names no rule (available: digon,")
 
 
 @pytest.mark.parametrize("n", ["1", "0", "-3"])

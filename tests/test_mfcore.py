@@ -14,7 +14,7 @@ import pytest
 from qwebs import mfcore
 from oracles import certified_hilbert
 from qwebs.qpoly import LaurentPoly, MultiPoly, PolyRing
-from qwebs.webs import Ladder, Rung, Zero, d_norm
+from qwebs.webs import Ladder, Rung, Zero, compose, d_norm, reflect
 from qwebs.mfcore import (
     GradedRing,
     IrreducibleToFinite,
@@ -806,6 +806,28 @@ def test_ext_is_bar_symmetric_on_the_n3_sweep(n3_sweep_ext):
            if n3_sweep_ext[v, u][0]
            != LaurentPoly.q_power(2 * d_norm(u.top, u.N)) * n3_sweep_ext[u, v][0].bar()]
     assert bad == []
+
+
+def test_ext_of_a_pair_is_the_ext_of_its_closed_web():
+    # h_i(u, v) = q^d(k) * h_i(empty, reflect(u) o v) for i = 0, 1, with k the
+    # common top and empty the rung-free ladder on the base: the form's own
+    # definition one level up; the closed route duals only a web without
+    # internal alphabets. A pair that raises either way is passed over.
+    answered = 0
+    for N, max_rungs, count in ((2, 3, 75), (3, 2, 43), (4, 2, 89)):
+        pairs = _same_top_pairs(N, max_rungs)
+        assert len(pairs) == count
+        empty = compile_web(Ladder(N, 2, (N, 0), []))
+        for u, v in pairs:
+            try:
+                pair = ext_qdim(compile_web(u), compile_web(v))
+                closed = ext_qdim(empty, compile_web(compose(reflect(u), v)))
+            except IrreducibleToFinite:
+                continue
+            answered += 1
+            shift = LaurentPoly.q_power(d_norm(u.top, N))
+            assert pair == tuple(shift * h for h in closed), (str(u), str(v))
+    assert answered >= 203
 
 
 # ------------------------------------------------ the one elimination step

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import lru_cache
 from math import comb, prod
 
 import pytest
@@ -16,7 +17,7 @@ from qwebs.relations import (
     verify_report,
 )
 from qwebs import relations, repfun
-from qwebs.repfun import FockBasis, QMatrix, lincomb_matrix
+from qwebs.repfun import FockBasis, QMatrix, ev_closed, lincomb_matrix, web_form
 
 
 def random_ladder(rng, N, m, max_rungs=4):
@@ -258,10 +259,14 @@ def test_sides_equal_edge_cases(lhs, rhs, want):
 def _scaled_split(real):
     # a scalar multiple of an intertwiner is one, so this split still
     # certifies; the digon and square coefficients then come out wrong
-    def split_matrix(a, b, N):
-        m = real(a, b, N)
-        return m.scaled(LaurentPoly.q_power(1)) if a * b >= 2 else m
-    return split_matrix
+    @lru_cache(maxsize=None)
+    def piece(a, b, N):
+        p = real(a, b, N)
+        if a * b < 2:
+            return p
+        return repfun._Piece(N, p.merge, {x: [(y, e + 1, s) for y, e, s in col]
+                                          for x, col in p.split.items()})
+    return piece
 
 
 @pytest.mark.parametrize("mutation, N, fails", [
@@ -276,7 +281,7 @@ def test_mutated_pieces_fail_as_under_full_check(monkeypatch, mutation, N, fails
             if mutation == "wedge":
                 mp.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
             else:
-                mp.setattr(repfun, "split_matrix", _scaled_split(repfun.split_matrix))
+                mp.setattr(repfun, "_piece", _scaled_split(repfun._piece))
             certified = [repfun._piece(a, b, N).certified
                          for a in range(N + 1) for b in range(N + 1 - a)]
             lines = verify_report(N)
@@ -295,14 +300,14 @@ def test_mutated_pieces_fail_as_under_full_check(monkeypatch, mutation, N, fails
 def _split_wrong_off_highest(real):
     # split(0, 1) with the sign of x_2 flipped: wrong only away from the
     # highest weight vector x_1, so the generating columns cannot see it
-    def split_matrix(a, b, N):
-        m = real(a, b, N)
+    @lru_cache(maxsize=None)
+    def piece(a, b, N):
+        p = real(a, b, N)
         if (a, b) != (0, 1):
-            return m
-        col = FockBasis(N, (1,)).index(((2,),))
-        return QMatrix(m.nrows, m.ncols,
-                       {(r, c): -v if c == col else v for (r, c), v in m.entries().items()})
-    return split_matrix
+            return p
+        x = ((2,),)
+        return repfun._Piece(N, p.merge, {**p.split, x: [(y, e, -s) for y, e, s in p.split[x]]})
+    return piece
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -314,7 +319,7 @@ def test_uncertified_piece_falls_back_to_all_columns(monkeypatch, N):
         cache.cache_clear()
     try:
         with monkeypatch.context() as mp:
-            mp.setattr(repfun, "split_matrix", _split_wrong_off_highest(repfun.split_matrix))
+            mp.setattr(repfun, "_piece", _split_wrong_off_highest(repfun._piece))
             certified = repfun._piece(0, 1, N).certified
             elems = repfun._generating_elements(N, base)
             blind = repfun._images(N, base, loop, elems) == repfun._images(N, base, ident, elems)
@@ -361,6 +366,32 @@ def test_a_report_builds_only_the_columns_it_reaches(monkeypatch):
     built = sum(len(table) for table in tables.values())
     pairs = sum(comb(6, ki) * comb(6, kj) for ki, kj, _, _, _ in tables)
     assert (len(tables), built, pairs) == (182, 9061, 19032)
+
+
+def test_the_push_path_makes_no_matrices(monkeypatch):
+    # merges and splits are built as signed monomials from the wedge sort;
+    # verdicts, closed values and the form read them, and the matrix API
+    # only reads them in turn
+    made = []
+
+    def spy(name, real):
+        def spied(*args, **kwargs):
+            made.append(name)
+            return real(*args, **kwargs)
+        return spied
+
+    for cache in PIECE_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(QMatrix, "__init__", spy("QMatrix", QMatrix.__init__))
+    monkeypatch.setattr(QMatrix, "_raw", classmethod(spy("QMatrix._raw", QMatrix._raw.__func__)))
+    for name in ("merge_matrix", "split_matrix"):
+        monkeypatch.setattr(repfun, name, spy(name, getattr(repfun, name)))
+    assert not [ln for ln in verify_report(4) if ln.endswith("FAIL")]
+    assert ev_closed(Ladder(3, 2, (3, 0), [Rung(1, -1, 1), Rung(1, 1, 1)])) == qint(3)
+    u = Ladder(3, 2, (3, 0), [Rung(1, -1, 2)])
+    v = Ladder(3, 2, (3, 0), [Rung(1, -1, 1), Rung(1, -1, 1)])
+    assert web_form(u, v) == qint(2) * web_form(u, u)
+    assert made == []
 
 
 def test_relation_at_higher_position():

@@ -217,22 +217,20 @@ def _oracle_commutes(N, cols):
 
 
 def _piece_variants(a, b, N, monkeypatch):
-    """(kind, QMatrix) for the merge and split of (a, b), as built and under
+    """(kind, cols) for the merge and split of (a, b), as built and under
     the wrong wedge sign x_j ^ x_i = -q x_i ^ x_j, each also scaled by q and
     with one entry negated."""
     with monkeypatch.context() as mp:
         mp.setattr(repfun, "WEDGE_FLIP", LaurentPoly({1: -1}))
-        wrong = repfun.merge_matrix.__wrapped__(a, b, N)
-    scale = Q(a * b)
-    wrong_split = QMatrix(wrong.ncols, wrong.nrows,
-                          {(c, r): v * scale for (r, c), v in wrong.entries().items()})
+        wrong = repfun._piece.__wrapped__(a, b, N)
+    right = repfun._piece(a, b, N)
     out = []
-    for kind, m in (("merge", merge_matrix(a, b, N)), ("split", split_matrix(a, b, N)),
-                    ("merge", wrong), ("split", wrong_split)):
-        e = m.entries()
-        rc = min(e)
-        e[rc] = -e[rc]
-        out += [(kind, m), (kind, m.scaled(Q(1))), (kind, QMatrix(m.nrows, m.ncols, e))]
+    for kind, cols in (("merge", right.merge), ("split", right.split),
+                       ("merge", wrong.merge), ("split", wrong.split)):
+        x = min(cols)
+        (y, e, s), *rest = cols[x]
+        scaled = {z: [(w, f + 1, t) for w, f, t in col] for z, col in cols.items()}
+        out += [(kind, cols), (kind, scaled), (kind, {**cols, x: [(y, e, -s), *rest]})]
     return out
 
 
@@ -243,9 +241,9 @@ def test_certificate_matches_qg_action(monkeypatch):
             for b in range(N + 1 - a):
                 pairs = FockBasis(N, (a, b))
                 whole = FockBasis(N, (a + b,))
-                for kind, m in _piece_variants(a, b, N, monkeypatch):
+                for kind, cols in _piece_variants(a, b, N, monkeypatch):
                     src, dst = (pairs, whole) if kind == "merge" else (whole, pairs)
-                    cols = repfun._monomial_cols(m, src.elements, dst.elements)
+                    m = repfun._piece_matrix(cols, src, dst)
                     got = repfun._commutes(N, cols)
                     assert got == _qg_commutes(m, src, dst, N), (N, a, b, kind, m.entries())
                     assert got == _oracle_commutes(N, cols), (N, a, b, kind, m.entries())
@@ -379,6 +377,14 @@ def test_certificate_fails_under_wrong_wedge_sign(monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
+
+
+def test_a_wedge_convention_off_the_signed_monomials_raises(monkeypatch):
+    # pieces hold +-q^e entries read off WEDGE_FLIP; any other convention
+    # is refused, not rounded into one
+    monkeypatch.setattr(repfun, "WEDGE_FLIP", LaurentPoly({-1: -2}))
+    with pytest.raises(ValueError, match="is not a signed monomial"):
+        repfun._piece.__wrapped__(1, 1, 2)
 
 
 def test_qg_action_commutator_single_factor():

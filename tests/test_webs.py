@@ -99,6 +99,15 @@ def test_d_norm_examples():
         d_norm((1, 0), 2)
 
 
+@pytest.mark.parametrize("N", [1, 0, -2])
+def test_small_n_is_refused_by_d_norm_and_enumerate_weights(N):
+    # refused before any division by N or any weight is listed, as Ladder does
+    with pytest.raises(ValueError, match="need N >= 2"):
+        d_norm((1, 1), N)
+    with pytest.raises(ValueError, match="need N >= 2"):
+        enumerate_weights(2, 2, N)
+
+
 # --------------------------------------------------------------------- rungs
 
 
