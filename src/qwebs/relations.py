@@ -76,7 +76,7 @@ def _sides_equal(N, base, lhs, rhs):
     """Compare two (coeff, rungs) lists through the functor.
 
     A rung list whose slices leave [0, N], base included, is the zero web and
-    drops out; the surviving lists must all end on one weight.
+    drops out; the rest must all end on one weight and go on with their slices.
     """
     tops = set()
     sides = ([], [])
@@ -85,7 +85,7 @@ def _sides_equal(N, base, lhs, rhs):
             ks = slices(N, base, rungs)
             if ks is not Zero:
                 tops.add(ks[-1])
-                side.append((coeff, rungs))
+                side.append((coeff, ks, rungs))
     return not tops or (len(tops) == 1 and _maps_agree(N, base, *sides))
 
 
@@ -191,6 +191,9 @@ def relation_instances(N, rules=None):
     unknown = [rule for rule in rules if rule not in RULES]
     if unknown:
         raise ValueError(f"unknown rule(s) {', '.join(unknown)} (available: {', '.join(RULES)})")
+    repeated = sorted({rule for rule in rules if rules.count(rule) > 1})
+    if repeated:
+        raise ValueError(f"repeated rule(s) {', '.join(repeated)}")
     if N < 2:
         raise ValueError("need N >= 2")
     return [RelationInstance(rule, labels)

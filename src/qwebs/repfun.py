@@ -43,12 +43,13 @@ def _inversions(word):
     return sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
 
 
-class FockBasis:
-    """Ordered basis of Lambda^{k_1} (x) ... (x) Lambda^{k_m} inside (C^N_q)-land.
+def _basis(N, factors):
+    """A slice's basis: one ascending index tuple per factor, in lexicographic order."""
+    return list(product(*(combinations(range(1, N + 1), k) for k in factors)))
 
-    Elements are tuples of ascending index tuples, one per factor, listed in
-    lexicographic order.
-    """
+
+class FockBasis:
+    """Ordered basis of Lambda^{k_1} (x) ... (x) Lambda^{k_m}: _basis, indexed."""
 
     __slots__ = ("N", "factors", "elements", "_index")
 
@@ -61,8 +62,7 @@ class FockBasis:
                 raise ValueError(f"factor thickness {k} outside [0, {N}]")
         self.N = N
         self.factors = factors
-        per = [list(combinations(range(1, N + 1), k)) for k in factors]
-        self.elements = list(product(*per))
+        self.elements = _basis(N, factors)
         self._index = {e: i for i, e in enumerate(self.elements)}
 
     @property
@@ -364,9 +364,9 @@ def _rung_pieces(ki, kj, sign, a, N):
     return sp, mg
 
 
-def _certified(N, base, rungs):
-    """Whether every merge and split piece of a rung list is certified."""
-    for k, r in zip(slices(N, base, rungs), rungs):
+def _certified(N, ks, rungs):
+    """Whether every merge and split piece of a rung list with slices ks is certified."""
+    for k, r in zip(ks, rungs):
         i = r.pos - 1
         sp, mg = _rung_pieces(k[i], k[i + 1], r.sign, r.thickness, N)
         if not (_piece(*sp, N).certified and _piece(*mg, N).certified):
@@ -448,9 +448,9 @@ def _push(N, ks, rungs, vec):
     return vec
 
 
-def _images(N, base, terms, elems):
-    """{(row elem, col): {e: c}} of sum(coeff * rungs) over [(coeff, rungs)],
-    applied to the basis elements elems (col is the position in elems).
+def _images(N, terms, elems):
+    """{(row elem, col): {e: c}} of sum(coeff * rungs) over [(coeff, ks, rungs)],
+    rungs with slices ks, on the basis elements elems (col is the position).
 
     All columns are pushed through each rung list in one pass; a term's
     coefficient is multiplied in once, at the end, and not at all when it
@@ -458,10 +458,10 @@ def _images(N, base, terms, elems):
     """
     cols = {(ci, elem): {0: 1} for ci, elem in enumerate(elems)}
     acc = {}
-    for coeff, rungs in terms:
+    for coeff, ks, rungs in terms:
         cc = coeff.coeffs()
         unit = cc == {0: 1}
-        for (ci, elem), poly in _push(N, slices(N, base, rungs), rungs, cols).items():
+        for (ci, elem), poly in _push(N, ks, rungs, cols).items():
             tgt = acc.get((elem, ci))
             if tgt is None:
                 tgt = acc[(elem, ci)] = {}
@@ -494,31 +494,30 @@ def _generating_elements(N, base):
     if j == len(base):
         return [head]
     first = (tuple(range(1, base[j] + 1)),)
-    rest = product(*(combinations(range(1, N + 1), k) for k in base[j + 1:]))
-    return [head + first + tail for tail in rest]
+    return [head + first + tail for tail in _basis(N, base[j + 1:])]
 
 
 def _maps_agree(N, base, lhs, rhs):
-    """Whether two lists of (coeff, rungs) from base give the same matrix.
+    """Whether two lists of (coeff, ks, rungs) from base give the same matrix.
 
     When every merge and split piece on both sides is certified, both are
     intertwiners and only the generating columns are pushed; otherwise all
     columns are, and the verdict is that of the full matrices.
     """
-    if all(_certified(N, base, rungs) for _, rungs in lhs + rhs):
+    if all(_certified(N, ks, rungs) for _, ks, rungs in lhs + rhs):
         elems = _generating_elements(N, base)
     else:
-        elems = FockBasis(N, base).elements
-    return _images(N, base, lhs, elems) == _images(N, base, rhs, elems)
+        elems = _basis(N, base)
+    return _images(N, lhs, elems) == _images(N, rhs, elems)
 
 
 def _terms_matrix(N, base, top, terms):
-    """Matrix of sum(coeff * rungs) over [(coeff, rungs)], all from base to top."""
+    """Matrix of sum(coeff * rungs) over [(coeff, ks, rungs)], all from base to top."""
     src = FockBasis(N, base)
     dst = FockBasis(N, top)
     row = dst._index
     entries = {(row[elem], ci): LaurentPoly._raw(poly)
-               for (elem, ci), poly in _images(N, base, terms, src.elements).items()}
+               for (elem, ci), poly in _images(N, terms, src.elements).items()}
     return QMatrix._raw(dst.dim, src.dim, entries)
 
 
@@ -527,28 +526,24 @@ def rung_matrix(rung, k, N):
     ks = slices(N, k, (rung,))
     if ks is Zero:
         raise ValueError(f"rung {rung} does not act on {tuple(k)}")
-    return _terms_matrix(N, *ks, [(LaurentPoly.one(), (rung,))])
+    return _terms_matrix(N, *ks, [(LaurentPoly.one(), ks, (rung,))])
 
 
 def ladder_matrix(u):
     """Evaluate a ladder to a matrix, bottom rung first."""
     if u is Zero:
         raise ValueError("Zero has no preferred matrix; handle it upstream")
-    return _terms_matrix(u.N, u.base, u.top, [(LaurentPoly.one(), u.rungs)])
+    return _terms_matrix(u.N, u.base, u.top, [(LaurentPoly.one(), u.weights(), u.rungs)])
 
 
 def lincomb_matrix(w):
     """Matrix of a WebLinComb."""
-    return _terms_matrix(w.N, w.base, w.top, [(c, lad.rungs) for lad, c in w.items()])
+    return _terms_matrix(w.N, w.base, w.top, [(c, lad.weights(), lad.rungs) for lad, c in w.items()])
 
 
 def _is_highest(k, N):
-    k = tuple(k)
-    total = sum(k)
-    if total % N:
-        return False
-    ell = total // N
-    return k == (N,) * ell + (0,) * (len(k) - ell)
+    ell, rest = divmod(sum(k), N)
+    return not rest and tuple(k) == (N,) * ell + (0,) * (len(k) - ell)
 
 
 def _closed_value(N, ks, rungs):

@@ -279,6 +279,8 @@ def enumerate_weights(m, d, N):
     """All gl weights with m parts in [0, N] summing to d, lex descending."""
     if N < 2:
         raise ValueError("need N >= 2")
+    if m < 0 or d < 0:
+        raise ValueError(f"need m >= 0 and d >= 0, got m={m} d={d}")
     out = []
 
     def rec(prefix, rem):

@@ -124,6 +124,13 @@ def test_enumerate_refuses_small_n(capsys, n):
     assert out == "" and "need N >= 2" in err
 
 
+@pytest.mark.parametrize("m, d", [("-1", "2"), ("2", "-1")])
+def test_enumerate_refuses_negative_counts(capsys, m, d):
+    assert run(["enumerate", f"m={m}", f"d={d}", "N=2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "need m >= 0 and d >= 0" in err
+
+
 def test_gram_rejects_mixed_weight_spaces(capsys):
     assert run(["gram", "N=2", "m=2", "d=2", "lambda=[2]", "seqs=1; F1^1"]) == 1
     assert "different weight spaces" in capsys.readouterr().err
@@ -149,6 +156,13 @@ def test_verify_relations_unknown_rule(capsys):
     # the rule names are checked before N
     assert run(["verify-relations", "N=1", "rules=pentagon"]) == 1
     assert "unknown rule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rules", ["digon,digon", "digon,associativity,digon"])
+def test_verify_relations_refuses_a_repeated_rule(capsys, rules):
+    assert run(["verify-relations", "N=2", f"rules={rules}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: repeated rule(s) digon\n"
 
 
 @pytest.mark.parametrize("rules", ["rules=", "rules=,"])

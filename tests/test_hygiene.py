@@ -102,6 +102,37 @@ def units_calling(path, name):
                    for node in ast.walk(unit))}
 
 
+def reached(path, roots):
+    """The top-level names of a module that the roots load, directly or
+    through other top-level names of the same module, roots included."""
+    nodes = {}
+    for unit_name, node in units(path):
+        if unit_name:
+            nodes.setdefault(unit_name.split(".")[0], []).append(node)
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in nodes and name not in seen:
+            seen.add(name)
+            todo += [n.id for node in nodes[name] for n in ast.walk(node) if isinstance(n, ast.Name)]
+    return seen
+
+
+def test_push_core_walks_no_rung_list_and_reads_no_matrix_view():
+    # a functor term carries the slices its builder walked, so the rung
+    # lists of a verdict are walked once, where its sides are gathered; and
+    # the core lists basis elements itself, so it needs no matrix view
+    src = ROOT / "src" / "qwebs"
+    assert units_loading(src / "repfun.py", "slices") == {"rung_matrix"}
+    assert units_loading(src / "relations.py", "slices") == {"_sides_equal"}
+    core = {"_certified", "_push", "_images", "_maps_agree", "_closed_value", "ev_closed", "web_form"}
+    view = {unit.split(".")[0] for name in ("FockBasis", "QMatrix")
+            for unit in units_loading(src / "repfun.py", name)}
+    assert {"FockBasis", "QMatrix", "merge_matrix", "_terms_matrix"} <= view
+    assert core <= reached(src / "repfun.py", core)
+    assert reached(src / "repfun.py", core) & view == set()
+
+
 def test_mfcore_builds_few_graded_rings():
     # a contraction keeps its input's ring and drops the removed generators
     # once, in _dropped, so no elimination step builds a smaller ring, by the

@@ -671,15 +671,20 @@ def test_ext_agrees_with_form_on_small_ladders():
             assert h0 + h1 == web_form(u, v)
 
 
-def _same_top_pairs(N, max_rungs):
-    """The same-top pairs of N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
+def _ladders(N, max_rungs):
+    """The N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
     lads = frontier = [Ladder(N, 2, (N, 0), [])]
     for _ in range(max_rungs):
         frontier = [ext for lad in frontier for sign in (1, -1) for a in range(1, N + 1)
                     if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
         lads = lads + frontier
+    return lads
+
+
+def _same_top_pairs(N, max_rungs):
+    """The same-top pairs of N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
     by_top = {}
-    for lad in lads:
+    for lad in _ladders(N, max_rungs):
         by_top.setdefault(lad.top, []).append(lad)
     return [(u, v) for group in by_top.values() for u, v in product(group, repeat=2)]
 
@@ -828,6 +833,35 @@ def test_ext_of_a_pair_is_the_ext_of_its_closed_web():
             shift = LaurentPoly.q_power(d_norm(u.top, N))
             assert pair == tuple(shift * h for h in closed), (str(u), str(v))
     assert answered >= 203
+
+
+def test_ext_adjunction_moves_a_rung_across():
+    # h0(r.u, v) = q^s * h0(u, rbar.v) with s = a(-sigma*lambda - a), for r of
+    # sign sigma and thickness a on strands 1-2, rbar its flip and lambda =
+    # k1 - k2 at u's top: the form's adjunction one level up (CONVENTIONS.md,
+    # "EXT identities"). u and v run over the N=3 ladders with <= 2 rungs, so
+    # r.u and rbar.v have <= 3; a pair that raises either way is passed over.
+    lads = _ladders(3, 2)
+    answered, kinds = 0, set()
+    for u, v in product(lads, repeat=2):
+        d = v.top[0] - u.top[0]
+        if d == 0:
+            continue
+        r = Rung(1, 1 if d > 0 else -1, abs(d))
+        ru, rv = u.with_rung(r), v.with_rung(r.flipped())
+        if ru is Zero or rv is Zero:
+            continue
+        try:
+            left = ext_qdim(compile_web(ru), compile_web(v))[0]
+            right = ext_qdim(compile_web(u), compile_web(rv))[0]
+        except IrreducibleToFinite:
+            continue
+        k1, k2 = u.top
+        s = r.thickness * (-r.sign * (k1 - k2) - r.thickness)
+        assert left == LaurentPoly.q_power(s) * right, (str(u), str(v))
+        answered += 1
+        kinds.add((u.top, r.sign, r.thickness))
+    assert answered >= 122 and len(kinds) >= 12
 
 
 # ------------------------------------------------ the one elimination step

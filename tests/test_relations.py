@@ -6,7 +6,7 @@ from math import comb, prod
 import pytest
 
 from qwebs.qpoly import LaurentPoly, qbinom, qint
-from qwebs.webs import Ladder, Rung, WebLinComb, Zero, make_ladder
+from qwebs.webs import Ladder, Rung, WebLinComb, Zero, make_ladder, slices
 from qwebs.relations import (
     NegativeCoefficient,
     RelationInstance,
@@ -62,6 +62,17 @@ def test_unknown_rules_raise():
         verify_report(3, ["bogus"])
     with pytest.raises(ValueError, match=r"unknown rule\(s\) bogus, pentagon"):
         relation_instances(3, ["digon", "bogus", "pentagon"])
+
+
+def test_repeated_rules_raise():
+    # a rule named twice would check and report each of its instances twice
+    with pytest.raises(ValueError, match=r"repeated rule\(s\) digon$"):
+        relation_instances(2, ["digon", "associativity", "digon", "digon"])
+    with pytest.raises(ValueError, match=r"repeated rule\(s\) associativity, digon$"):
+        verify_report(3, ["digon", "associativity", "digon", "associativity"])
+    # unknown names are reported first
+    with pytest.raises(ValueError, match="unknown rule"):
+        relation_instances(2, ["bogus", "bogus"])
 
 
 def test_zero_web_is_a_value():
@@ -228,14 +239,14 @@ def test_generating_columns_match_full_check(monkeypatch, N):
             w = _comb(N, base, side)
             if w is None:
                 continue
-            terms = [(c, lad.rungs) for lad, c in w.items()]
+            terms = [(c, lad.weights(), lad.rungs) for lad, c in w.items()]
             # every piece of every relation side is certified on working code
-            assert all(repfun._certified(N, base, rungs) for _, rungs in terms)
+            assert all(repfun._certified(N, ks, rungs) for _, ks, rungs in terms)
             dst = FockBasis(N, w.top)
             want = {(dst.elements[r], pos[src.elements[c]]): v.coeffs()
                     for (r, c), v in lincomb_matrix(w).entries().items()
                     if src.elements[c] in pos}
-            assert repfun._images(N, base, terms, elems) == want, (base, side)
+            assert repfun._images(N, terms, elems) == want, (base, side)
 
 
 F3 = (Rung(1, -1, 3),)
@@ -313,8 +324,9 @@ def _split_wrong_off_highest(real):
 @pytest.mark.parametrize("N", [2, 3])
 def test_uncertified_piece_falls_back_to_all_columns(monkeypatch, N):
     base = (1, 0)
-    loop = [(LaurentPoly.one(), (Rung(1, -1, 1), Rung(1, 1, 1)))]
-    ident = [(LaurentPoly.one(), ())]
+    rungs = (Rung(1, -1, 1), Rung(1, 1, 1))
+    loop = [(LaurentPoly.one(), slices(N, base, rungs), rungs)]
+    ident = [(LaurentPoly.one(), slices(N, base, ()), ())]
     for cache in PIECE_CACHES:
         cache.cache_clear()
     try:
@@ -322,7 +334,7 @@ def test_uncertified_piece_falls_back_to_all_columns(monkeypatch, N):
             mp.setattr(repfun, "_piece", _split_wrong_off_highest(repfun._piece))
             certified = repfun._piece(0, 1, N).certified
             elems = repfun._generating_elements(N, base)
-            blind = repfun._images(N, base, loop, elems) == repfun._images(N, base, ident, elems)
+            blind = repfun._images(N, loop, elems) == repfun._images(N, ident, elems)
             agree = repfun._maps_agree(N, base, loop, ident)
             verdict = verify_relation(RelationInstance("digon", (0, 1)), N)
     finally:

@@ -99,6 +99,18 @@ def test_d_norm_examples():
         d_norm((1, 0), 2)
 
 
+@pytest.mark.parametrize("m, d", [(-1, 2), (2, -1), (-1, -1)])
+def test_enumerate_weights_refuses_negative_counts(m, d):
+    with pytest.raises(ValueError, match="need m >= 0 and d >= 0"):
+        enumerate_weights(m, d, 2)
+
+
+def test_enumerate_weights_with_no_parts():
+    # the one empty weight sums to 0; no weight of no parts sums to more
+    assert enumerate_weights(0, 0, 2) == [()]
+    assert enumerate_weights(0, 2, 2) == []
+
+
 @pytest.mark.parametrize("N", [1, 0, -2])
 def test_small_n_is_refused_by_d_norm_and_enumerate_weights(N):
     # refused before any division by N or any weight is listed, as Ladder does
