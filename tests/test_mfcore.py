@@ -671,22 +671,41 @@ def test_ext_agrees_with_form_on_small_ladders():
             assert h0 + h1 == web_form(u, v)
 
 
-def _ladders(N, max_rungs):
-    """The N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
-    lads = frontier = [Ladder(N, 2, (N, 0), [])]
+def _ladders(N, max_rungs, base=None):
+    """The ladders over base, (N, 0) by default, with <= max_rungs rungs."""
+    base = base or (N, 0)
+    lads = frontier = [Ladder(N, len(base), base, [])]
     for _ in range(max_rungs):
-        frontier = [ext for lad in frontier for sign in (1, -1) for a in range(1, N + 1)
-                    if (ext := lad.with_rung(Rung(1, sign, a))) is not Zero]
+        frontier = [ext for lad in frontier for pos in range(1, len(base))
+                    for sign in (1, -1) for a in range(1, N + 1)
+                    if (ext := lad.with_rung(Rung(pos, sign, a))) is not Zero]
         lads = lads + frontier
     return lads
 
 
-def _same_top_pairs(N, max_rungs):
-    """The same-top pairs of N, m=2 ladders over (N, 0) with <= max_rungs rungs."""
+def _same_top_pairs(N, max_rungs, base=None):
+    """The same-top pairs of ladders over base, (N, 0) by default, with <=
+    max_rungs rungs."""
     by_top = {}
-    for lad in _ladders(N, max_rungs):
+    for lad in _ladders(N, max_rungs, base):
         by_top.setdefault(lad.top, []).append(lad)
     return [(u, v) for group in by_top.values() for u, v in product(group, repeat=2)]
+
+
+@pytest.mark.parametrize("base,max_rungs,count", [((2, 2, 0), 4, 1135), ((2, 0, 0, 0), 3, 148)])
+def test_ext_matches_the_form_beyond_two_strands(base, max_rungs, count):
+    # a rung at position 2 or 3 meets strands that two-strand sweeps never
+    # reach; at N=2 every pair answers, with no odd part
+    from qwebs.repfun import web_form
+
+    pairs = _same_top_pairs(2, max_rungs, base)
+    assert len(pairs) == count
+    bad = []
+    for u, v in pairs:
+        h0, h1 = ext_qdim(compile_web(u), compile_web(v))
+        if not h1.is_zero() or h0 != web_form(u, v):
+            bad.append((str(u), str(v)))
+    assert bad == []
 
 
 def test_dual_commutes_with_exclusion(monkeypatch):
