@@ -435,13 +435,13 @@ def _build_web(u):
             rname = f"s{next(fresh)}"
             lname = f"s{next(fresh)}"
             place("split", a, k2 - a, top1=jname, top2=rname, bot=seg[i + 1])
-            place("merge", a, k1, top=lname, bot1=jname, bot2=seg[i])
+            place("merge", k1, a, top=lname, bot1=seg[i], bot2=jname)
         else:
             jname = f"s{next(fresh)}"
             lname = f"s{next(fresh)}"
             rname = f"s{next(fresh)}"
             place("split", k1 - a, a, top1=lname, top2=jname, bot=seg[i])
-            place("merge", k2, a, top=rname, bot1=seg[i + 1], bot2=jname)
+            place("merge", a, k2, top=rname, bot1=jname, bot2=seg[i + 1])
         seg[i], seg[i + 1] = lname, rname
     for i, ki in enumerate(u.top):
         if ki:
