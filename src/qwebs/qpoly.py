@@ -265,16 +265,24 @@ def qint(n):
 def qbinom(n, k):
     """Balanced quantum binomial [n choose k] for 0 <= k <= n.
 
-    Computed through the q-Pascal rule, which stays inside Z[q, q^-1]:
-    [n;k] = q^k [n-1;k] + q^(k-n) [n-1;k-1].
+    [n;k] = q^(-k(n-k)) G(q^2) for the Gaussian binomial G(x), the product of
+    (1 - x^(n-k+i)) / (1 - x^i) over i = 1..min(k, n-k). Each partial product
+    is a Gaussian binomial, so the division by 1 - x^i, a running sum with
+    stride i, is exact and every step stays in Z[x].
     """
     if not isinstance(n, int) or not isinstance(k, int):
         raise ValueError("qbinom wants integers")
     if k < 0 or k > n:
         raise ValueError(f"qbinom({n}, {k}) is outside 0 <= k <= n")
-    if k == 0 or k == n:
-        return LaurentPoly.one()
-    return LaurentPoly.q_power(k) * qbinom(n - 1, k) + LaurentPoly.q_power(k - n) * qbinom(n - 1, k - 1)
+    r = n - min(k, n - k)
+    g = [1]  # coefficients of G, lowest degree first
+    for i in range(1, n - r + 1):
+        pad = [0] * (r + i)
+        g = [x - y for x, y in zip(g + pad, pad + g)]
+        for t in range(i, len(g)):
+            g[t] += g[t - i]
+        del g[-i:]
+    return LaurentPoly._raw({2 * t - k * (n - k): c for t, c in enumerate(g) if c})
 
 
 def qbinom_ext(n, r):

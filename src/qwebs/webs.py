@@ -281,21 +281,13 @@ def enumerate_weights(m, d, N):
         raise ValueError("need N >= 2")
     if m < 0 or d < 0:
         raise ValueError(f"need m >= 0 and d >= 0, got m={m} d={d}")
-    out = []
-
-    def rec(prefix, rem):
-        if len(prefix) == m:
-            if rem == 0:
-                out.append(GlWeight(prefix))
-            return
-        hi = min(N, rem)
-        for v in range(hi, -1, -1):
-            slots = m - len(prefix) - 1
-            if rem - v <= N * slots:
-                rec(prefix + [v], rem - v)
-
-    rec([], d)
-    return out
+    # one part at a time, largest first, keeping only prefixes the remaining
+    # parts can complete, so every level stays in lex descending order
+    level = [((), d)]
+    for slots in range(m - 1, -1, -1):
+        level = [(prefix + (v,), rem - v) for prefix, rem in level
+                 for v in range(min(N, rem), max(0, rem - N * slots) - 1, -1)]
+    return [GlWeight(prefix) for prefix, rem in level if rem == 0]
 
 
 def d_norm(k, N):

@@ -43,6 +43,11 @@ def test_enumerate_empty(capsys):
     assert json.loads(capsys.readouterr().out) == {"weights": []}
 
 
+def test_enumerate_many_parts(capsys):
+    assert run(["enumerate", "m=1200", "d=0", "N=2"]) == 0
+    assert lines_of(capsys) == ["[" + ",".join(["0"] * 1200) + "]"]
+
+
 def test_enumerate_missing_param(capsys):
     assert run(["enumerate", "m=2", "d=2"]) == 1
     assert "missing parameter N=" in capsys.readouterr().err

@@ -91,6 +91,27 @@ def test_qbinom_domain():
         qbinom(3, -1)
 
 
+def test_qbinom_from_a_cold_cache_needs_no_recursion():
+    qbinom.cache_clear()
+    assert qbinom(500, 1) == qint(500)
+    qbinom.cache_clear()
+    got = qbinom(2000, 3)
+    # [n;k] = [n][n-1][n-2] / ([1][2][3]), scaled to integers at q = 2^32:
+    # P(m) = q^(m-1) [m] = (q^2m - 1) / (q^2 - 1). Every coefficient of the
+    # quotient is nonnegative and below 2^32 (they sum to C(2000, 3)), so
+    # its value at 2^32 fixes each of them.
+    big = 2 ** 32
+
+    def P(m):
+        return (big ** (2 * m) - 1) // (big ** 2 - 1)
+
+    shift = 3 * 1997
+    assert min(got.coeffs()) == -shift and got.has_nonneg_coeffs()
+    assert max(got.coeffs().values()) < big
+    value = sum(c * big ** (e + shift) for e, c in got.coeffs().items())
+    assert value * P(1) * P(2) * P(3) == P(1998) * P(1999) * P(2000)
+
+
 def test_qbinom_ext_agrees_on_classical_domain():
     for n in range(7):
         for r in range(n + 1):

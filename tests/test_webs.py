@@ -90,6 +90,11 @@ def test_enumerate_weights():
     assert all(w.total() == 2 and w.valid(2) for w in ws)
 
 
+def test_enumerate_weights_of_many_parts_needs_no_recursion():
+    assert enumerate_weights(1000, 0, 2) == [GlWeight((0,) * 1000)]
+    assert enumerate_weights(1000, 2000, 2) == [GlWeight((2,) * 1000)]
+
+
 def test_d_norm_examples():
     assert d_norm((1, 1), 2) == 1
     assert d_norm((2, 1, 1, 2), 3) == 4
