@@ -734,10 +734,10 @@ def _graded_quotient_dim(ring, fs, d):
     for f in fs:
         df = f.homogeneous_degree()
         for mono in _monomials_of_degree(degs, d - df):
-            vec = [Fraction(0)] * len(basis)
+            # each cell gets at most one coefficient, converted once, by fraction_rank
+            vec = [0] * len(basis)
             for exps, v in f.terms().items():
-                e = tuple(a + b for a, b in zip(exps, mono))
-                vec[index[e]] += Fraction(v)
+                vec[index[tuple(a + b for a, b in zip(exps, mono))]] = v
             rel_rows.append(vec)
     return len(basis) - fraction_rank(rel_rows)
 
