@@ -529,16 +529,23 @@ def rung_matrix(rung, k, N):
     return _terms_matrix(N, *ks, [(LaurentPoly.one(), ks, (rung,))])
 
 
+def _web_terms(w):
+    """[(coeff, ks, rungs)] of a ladder or a WebLinComb, along each ladder's own slices."""
+    if isinstance(w, WebLinComb):
+        return [(c, lad.weights(), lad.rungs) for lad, c in w.items()]
+    return [(LaurentPoly.one(), w.weights(), w.rungs)]
+
+
 def ladder_matrix(u):
     """Evaluate a ladder to a matrix, bottom rung first."""
     if u is Zero:
         raise ValueError("Zero has no preferred matrix; handle it upstream")
-    return _terms_matrix(u.N, u.base, u.top, [(LaurentPoly.one(), u.weights(), u.rungs)])
+    return _terms_matrix(u.N, u.base, u.top, _web_terms(u))
 
 
 def lincomb_matrix(w):
     """Matrix of a WebLinComb."""
-    return _terms_matrix(w.N, w.base, w.top, [(c, lad.weights(), lad.rungs) for lad, c in w.items()])
+    return _terms_matrix(w.N, w.base, w.top, _web_terms(w))
 
 
 def _is_highest(k, N):
@@ -546,31 +553,26 @@ def _is_highest(k, N):
     return not rest and tuple(k) == (N,) * ell + (0,) * (len(k) - ell)
 
 
-def _closed_value(N, ks, rungs):
-    """Value of a closed rung list with slices ks on the highest weight ks[0]:
-    the coefficient of that slice's one basis vector after one push."""
-    (x,) = _generating_elements(N, ks[0])
-    return LaurentPoly._raw(_push(N, ks, rungs, {(0, x): {0: 1}}).get((0, x), {}))
-
-
-def _terms(w):
-    """[(ladder, coeff)] of a ladder or a WebLinComb."""
-    return w.items() if isinstance(w, WebLinComb) else [(w, LaurentPoly.one())]
+def _closed_value(N, terms):
+    """Value of closed terms [(coeff, ks, rungs)] on the highest weight ks[0]:
+    the coefficient of that slice's one basis vector in one _images call."""
+    if not terms:
+        return LaurentPoly.zero()
+    (x,) = _generating_elements(N, terms[0][1][0])
+    return LaurentPoly._raw(_images(N, terms, [x]).get((x, 0), {}))
 
 
 def ev_closed(u):
     """Scalar value of a closed ladder or WebLinComb (base = top = the highest
-    weight); Zero is 0. Each ladder is one push along its own slices."""
-    total = LaurentPoly.zero()
-    if u is Zero:
-        return total
-    for lad, c in _terms(u):
-        if not _is_highest(lad.base, lad.N):
-            raise ValueError(f"base {tuple(lad.base)} is not the highest weight pattern")
-        if tuple(lad.top) != tuple(lad.base):
-            raise ValueError("ladder is not closed")
-        total = total + c * _closed_value(lad.N, lad.weights(), lad.rungs)
-    return total
+    weight); Zero is 0. Its terms, along each ladder's own slices, make one
+    _images call."""
+    if u is Zero or not (terms := _web_terms(u)):
+        return LaurentPoly.zero()
+    if not _is_highest(u.base, u.N):
+        raise ValueError(f"base {tuple(u.base)} is not the highest weight pattern")
+    if tuple(u.top) != tuple(u.base):
+        raise ValueError("ladder is not closed")
+    return _closed_value(u.N, terms)
 
 
 def web_form(u, v):
@@ -579,8 +581,9 @@ def web_form(u, v):
     Both arguments run from the highest weight pattern up to the same top
     weight k; the value is q^d(k) times the closed evaluation of (u flipped)
     stacked under v. Antilinear in u, linear in v. Each pair of terms is
-    one push: up v's rungs, then down u's, reversed with E and F swapped,
-    along the two ladders' own slices; q^d(k) is multiplied in once.
+    one term of a single _images call: up v's rungs, then down u's,
+    reversed with E and F swapped, along the two ladders' own slices, with
+    coefficient bar(cu) * cv; q^d(k) is multiplied in once.
     """
     if u is Zero or v is Zero:
         return LaurentPoly.zero()
@@ -588,11 +591,7 @@ def web_form(u, v):
         raise ValueError("web_form needs a common boundary")
     if not _is_highest(u.base, u.N):
         raise ValueError("webs must grow from the highest weight pattern")
-    total = LaurentPoly.zero()
-    for lu, cu in _terms(u):
-        down = lu.weights()[-2::-1]
-        flipped = tuple(r.flipped() for r in reversed(lu.rungs))
-        for lv, cv in _terms(v):
-            val = _closed_value(u.N, lv.weights() + down, lv.rungs + flipped)
-            total = total + cu.bar() * cv * val
-    return LaurentPoly.q_power(d_norm(u.top, u.N)) * total
+    downs = [(cu.bar(), ks[-2::-1], tuple(r.flipped() for r in reversed(rungs)))
+             for cu, ks, rungs in _web_terms(u)]
+    terms = [(cu * cv, kv + ku, rv + ru) for cv, kv, rv in _web_terms(v) for cu, ku, ru in downs]
+    return LaurentPoly.q_power(d_norm(u.top, u.N)) * _closed_value(u.N, terms)

@@ -133,6 +133,37 @@ def test_push_core_walks_no_rung_list_and_reads_no_matrix_view():
     assert reached(src / "repfun.py", core) & view == set()
 
 
+def test_one_evaluation_path():
+    # every output of the functor, a matrix, a verdict or a closed value, is
+    # one _images call on a web's terms, and only _web_terms lists a ladder's
+    # or a combination's terms
+    path = ROOT / "src" / "qwebs" / "repfun.py"
+    assert units_calling(path, "_push") == {"_images"}
+    weights = {name for name, unit in units(path)
+               if any(isinstance(node, ast.Attribute) and node.attr == "weights"
+                      for node in ast.walk(unit))}
+    assert weights == {"_web_terms"}
+    assert "_terms" not in {name for name, _ in units(path)}
+
+
+def test_no_library_function_calls_itself():
+    # a recursion whose depth an input sets can hit Python's recursion limit
+    # on a public call. _monomials_of_degree recurses once per ring variable,
+    # and a ring has a few dozen of them at most, so it is the one exception.
+    found = set()
+    for path in sorted((ROOT / "src" / "qwebs").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                f = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(f, "id", None) == fn.name or (
+                        isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and getattr(f.value, "id", None) in ("self", "cls")):
+                    found.add((path.name, fn.name))
+    assert found == {("mfcore.py", "_monomials_of_degree")}
+
+
 def test_mfcore_builds_few_graded_rings():
     # a contraction keeps its input's ring and drops the removed generators
     # once, in _dropped, so no elimination step builds a smaller ring, by the

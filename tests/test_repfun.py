@@ -782,6 +782,33 @@ def test_closed_values_are_pinned():
     assert digest.hexdigest() == CLOSED_VALUES_DIGEST
 
 
+def test_closed_values_are_one_sum_of_exponents(monkeypatch):
+    # every pair of terms is one term of a single _images call, which sums in
+    # exponent dicts: web_form multiplies only bar(cu) * cv per pair and
+    # q^d(k) once, and neither web_form nor ev_closed adds LaurentPolys
+    pairs, closed = _pinned_webs()
+    c = 2 * Q(1) - Q(-1)
+    combs = [(u, v, WebLinComb.of(u, c) + WebLinComb.of(v)) for u, v in pairs]
+    calls = []
+    for name in ("__add__", "__mul__"):
+        def spied(self, other, _real=getattr(LaurentPoly, name), _name=name):
+            calls.append(_name)
+            return _real(self, other)
+        monkeypatch.setattr(LaurentPoly, name, spied)
+    want = 0
+    for u, v, w in combs:
+        for left, right in ((u, v), (w, v), (v, w), (w, w)):
+            web_form(left, right)
+        n = len(w.items())
+        want += (1 + 1) + 2 * (n + 1) + (n * n + 1)
+    assert calls == ["__mul__"] * want
+    calls.clear()
+    for u in closed:
+        ev_closed(u)
+        ev_closed(WebLinComb.of(u, c))
+    assert calls == []
+
+
 def test_closed_values_build_no_webs_or_bases(monkeypatch):
     # each pair of terms is one push along the ladders' own slices, so once
     # the pieces are cached no ladder, combination or basis is built;
