@@ -737,7 +737,8 @@ def _graded_quotient_dim(ring, fs, d):
             # each cell gets at most one coefficient, converted once, by fraction_rank
             vec = [0] * len(basis)
             for exps, v in f.terms().items():
-                vec[index[tuple(a + b for a, b in zip(exps, mono))]] = v
+                e = tuple(a + b for a, b in zip(exps, mono))
+                vec[index[e]] = v
             rel_rows.append(vec)
     return len(basis) - fraction_rank(rel_rows)
 
