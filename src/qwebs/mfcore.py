@@ -19,6 +19,8 @@ import weakref
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from math import gcd, lcm
+from operator import add
 
 from ._linalg import fraction_rank
 from .qpoly import (LaurentPoly, MultiPoly, NonExactDivision, PolyRing, _mul_into, _normal,
@@ -702,7 +704,6 @@ def _contracted(mf):
     return red
 
 
-_contracted.cache_clear = _kept_contraction.cache_clear
 _contracted.cache_info = _kept_contraction.cache_info
 
 
@@ -723,24 +724,88 @@ def _monomials_of_degree(degs, d):
             yield (e,) + rest
 
 
+# the odd prime of the certificate's second rank: below 2**15, so that each
+# product of two residues is one machine word
+_PRIME = 32003
+
+
+def _primitive(f):
+    """f's terms times the one positive rational that makes them coprime
+    integers; (f) is the same ideal."""
+    den = lcm(*(v.denominator for v in f._t.values()))
+    ints = {e: int(v * den) for e, v in f._t.items()}
+    g = gcd(*ints.values())
+    return {e: c // g for e, c in ints.items()}
+
+
+def _rank_mod2(rows, n):
+    """Rank over F_2 of rows of n columns, as {column: int}: each row is a
+    Python int of bits, reduced by XOR against the pivot of its top bit."""
+    pivots = {}
+    for row in rows:
+        r = sum(1 << c for c, v in row.items() if v & 1)
+        while r:
+            top = r.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+        if len(pivots) == n:
+            break
+    return len(pivots)
+
+
+def _rank_mod_p(rows, n, p):
+    """Rank over F_p of rows of n columns, as {column: int}, kept sparse:
+    each pivot row is scaled to lead with 1 at its lowest column. The
+    sparsest rows go first, as pivots made from them fill in least."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in piv.items():
+                w = (r.get(c, 0) - f * v) % p
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+        if len(pivots) == n:
+            break
+    return len(pivots)
+
+
 def _graded_quotient_dim(ring, fs, d):
-    """dim_Q of degree-d part of Q[vars]/(fs), by rank of the relation space."""
+    """dim_Q of degree-d part of Q[vars]/(fs), by rank of the relation space.
+
+    The rows are m * f for each monomial m of degree d - deg f, with f scaled
+    once to a primitive integer polynomial. An integer matrix has no larger
+    rank over F_p than over Q, so full column rank mod 2, or failing that mod
+    _PRIME, proves the degree vanishes; only when both fall short is the
+    exact rank taken.
+    """
     degs = tuple(deg for _, deg in ring.gens)
     basis = list(_monomials_of_degree(degs, d))
     if not basis:
         return 0
+    n = len(basis)
     index = {e: i for i, e in enumerate(basis)}
     rel_rows = []
     for f in fs:
         df = f.homogeneous_degree()
+        terms = _primitive(f)
         for mono in _monomials_of_degree(degs, d - df):
-            # each cell gets at most one coefficient, converted once, by fraction_rank
-            vec = [0] * len(basis)
-            for exps, v in f.terms().items():
-                e = tuple(a + b for a, b in zip(exps, mono))
-                vec[index[e]] = v
-            rel_rows.append(vec)
-    return len(basis) - fraction_rank(rel_rows)
+            rel_rows.append({index[tuple(map(add, exps, mono))]: v for exps, v in terms.items()})
+    if len(rel_rows) >= n and (_rank_mod2(rel_rows, n) == n
+                               or _rank_mod_p(rel_rows, n, _PRIME) == n):
+        return 0
+    return n - fraction_rank([[row.get(c, 0) for c in range(n)] for row in rel_rows])
 
 
 def _certified_hilbert(ring, fs):
@@ -788,19 +853,27 @@ def ext_qdim(a, b):
     must carry the same boundary. Both are contracted, the first one's dual
     over the boundary ring is glued onto the second, and the result is
     excluded to a finite quotient; IrreducibleToFinite means none was found.
-    Each web's contraction is kept in a 256-entry LRU cache, so a sweep over
-    pairs contracts each distinct web once; exclude_variables itself is not
-    cached, and the glued factorization is contracted on every call. The
-    cache holds the webs it was given alive, equal ones included, so
-    compile_web hands the same objects out again and the cache finds each
-    by its kept hash and by identity.
+    Each web's contraction is kept in a 256-entry LRU cache, and so is the
+    read-off of each pair of contractions, which depends on their values
+    alone (CONVENTIONS.md, "Reading EXT off contracted webs"). A sweep over
+    pairs thus contracts each distinct web once, and glues, excludes and
+    certifies each distinct pair of contractions once. exclude_variables
+    itself is not cached, and only returns are kept: a pair that raises
+    raises again on the next call. The contraction cache holds the webs it
+    was given alive, equal ones included, so compile_web hands the same
+    objects out again and the cache finds each by its kept hash and by
+    identity.
     """
     if a.N != b.N:
         raise ValueError("different N")
     if a.boundary != b.boundary:
         raise ValueError("boundaries do not match")
-    a = _contracted(a)
-    b = _contracted(b)
+    return _read_off(_contracted(a), _contracted(b))
+
+
+@lru_cache(maxsize=256)
+def _read_off(a, b):
+    """ext_qdim of two contracted webs with the same N and boundary."""
     if a.is_zero_object() or b.is_zero_object():
         return (LaurentPoly.zero(), LaurentPoly.zero())
     # renaming internal alphabets only commutes with dual
@@ -841,6 +914,15 @@ def ext_qdim(a, b):
     if hsh:
         h0, h1 = h1, h0
     return (h0, h1)
+
+
+def _forget_contractions():
+    """Empty the kept contractions and the kept read-offs made from them."""
+    _kept_contraction.cache_clear()
+    _read_off.cache_clear()
+
+
+_contracted.cache_clear = _forget_contractions
 
 
 # ------------------------------------------------------------------ dump

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .qpoly import LaurentPoly, qbinom, qbinom_ext
-from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, highest_weight_ladder, slices
-from .repfun import _maps_agree, ev_closed
+from .webs import GlWeight, Ladder, Rung, WebLinComb, Zero, slices
+from .repfun import _is_highest, _maps_agree, ev_closed
 
 # each rule's label letters, in the order RelationInstance.labels holds them
 _LABELS = {
@@ -291,9 +291,7 @@ def reduce_to_highest(u):
     """
     if u is Zero:
         return LaurentPoly.zero()
-    ell = sum(u.base) // u.N
-    hw = highest_weight_ladder(u.N, u.m, ell)
-    if tuple(hw.base) != tuple(u.base) or tuple(u.top) != tuple(u.base):
+    if not _is_highest(u.base, u.N) or tuple(u.top) != tuple(u.base):
         raise ValueError("reduce_to_highest wants a closed web on the highest weight")
     val = ev_closed(u)
     if not val.is_zero() and not val.has_nonneg_coeffs():

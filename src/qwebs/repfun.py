@@ -565,14 +565,14 @@ def _closed_value(N, terms):
 def ev_closed(u):
     """Scalar value of a closed ladder or WebLinComb (base = top = the highest
     weight); Zero is 0. Its terms, along each ladder's own slices, make one
-    _images call."""
-    if u is Zero or not (terms := _web_terms(u)):
+    _images call. The boundary is checked also when there are no terms."""
+    if u is Zero:
         return LaurentPoly.zero()
     if not _is_highest(u.base, u.N):
         raise ValueError(f"base {tuple(u.base)} is not the highest weight pattern")
     if tuple(u.top) != tuple(u.base):
         raise ValueError("ladder is not closed")
-    return _closed_value(u.N, terms)
+    return _closed_value(u.N, _web_terms(u))
 
 
 def web_form(u, v):

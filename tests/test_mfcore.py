@@ -708,6 +708,27 @@ def test_ext_matches_the_form_beyond_two_strands(base, max_rungs, count):
     assert bad == []
 
 
+@pytest.mark.parametrize("base,least_answered", [((3, 0, 0), 705), ((3, 3, 0), 711)])
+def test_ext_matches_the_form_on_three_strands_at_n3(base, least_answered):
+    # N=3 with up to three rungs reaches thickness-2 and -3 rungs at position
+    # 2, which neither the two-strand sweeps nor N=2 meet; a pair that raises
+    # is passed over, so a readout that answers it later needs no edit
+    from qwebs.repfun import web_form
+
+    pairs = _same_top_pairs(3, 3, base)
+    assert len(pairs) == 730
+    answered, bad = 0, []
+    for u, v in pairs:
+        try:
+            h0, h1 = ext_qdim(compile_web(u), compile_web(v))
+        except IrreducibleToFinite:
+            continue
+        answered += 1
+        if not h1.is_zero() or h0 != web_form(u, v):
+            bad.append((str(u), str(v)))
+    assert bad == [] and answered >= least_answered
+
+
 def test_dual_commutes_with_exclusion(monkeypatch):
     # gluing the uncontracted first web through dual gives the same EXT as
     # ext_qdim, which contracts it first
@@ -1138,10 +1159,62 @@ def test_ext_contracts_each_web_once(monkeypatch):
     monkeypatch.setattr(mfcore, "exclude_variables", spied)
     want = ext_qdim(compile_web(u), compile_web(v))
     assert len(calls) == 3
-    # equal webs built anew reuse both contractions; only the glued one runs
+    # equal webs built anew reuse both contractions and the pair's read-off,
+    # so a repeated pair runs no exclusion
     a, b = compile_web(u), compile_web(v)
     assert ext_qdim(a, b) == want
-    assert len(calls) == 4 and calls[3] != a and calls[3] != b
+    assert len(calls) == 3
+
+
+def _spy_exclusion(monkeypatch):
+    """The factorizations exclude_variables is handed from now on, in order."""
+    real = mfcore.exclude_variables
+    calls = []
+
+    def spied(mf):
+        calls.append(mf)
+        return real(mf)
+
+    monkeypatch.setattr(mfcore, "exclude_variables", spied)
+    return calls
+
+
+def test_ladders_with_equal_contractions_share_one_read_off(monkeypatch):
+    # F1^1 and F1^2 E1^1 compile to different webs that contract to one
+    # factorization; the read-off depends on the contraction alone
+    u = Ladder(2, 2, (2, 0), [Rung(1, -1, 1)])
+    w = Ladder(2, 2, (2, 0), [Rung(1, -1, 2), Rung(1, 1, 1)])
+    a, b = compile_web(u), compile_web(w)
+    assert a != b and exclude_variables(a) == exclude_variables(b)
+    want = ext_qdim(a, a)
+    calls = _spy_exclusion(monkeypatch)
+    assert ext_qdim(b, a) == want and ext_qdim(a, b) == want
+    # only b's own contraction runs; no glued factorization is excluded
+    assert calls == [b]
+
+
+def test_a_pair_that_raises_is_not_kept(monkeypatch):
+    left = Ladder.parse("N=3 m=2 base=[3,0] rungs=[F1^1, F1^1, E1^1]")
+    right = Ladder.parse("N=3 m=2 base=[3,0] rungs=[F1^1]")
+    a, b = compile_web(left), compile_web(right)
+    calls = _spy_exclusion(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(IrreducibleToFinite, match="a row kept both entries nonzero"):
+            ext_qdim(a, b)
+    # two contractions, then the glued factorization on each call
+    assert len(calls) == 4 and calls[2] == calls[3] and calls[2] not in (a, b)
+    assert mfcore._read_off.cache_info().currsize == 0
+    assert mfcore._contracted.cache_info().currsize == 2
+
+
+def test_clearing_the_contractions_clears_the_read_offs():
+    web = compile_web(Ladder(2, 2, (2, 0), [Rung(1, -1, 1), Rung(1, 1, 1)]))
+    ext_qdim(web, web)
+    assert mfcore._contracted.cache_info().currsize == 1
+    assert mfcore._read_off.cache_info().currsize == 1
+    mfcore._contracted.cache_clear()
+    assert mfcore._contracted.cache_info().currsize == 0
+    assert mfcore._read_off.cache_info().currsize == 0
 
 
 def test_public_exclusion_is_not_kept():
@@ -1253,6 +1326,8 @@ def test_certificate_matches_the_reference_on_the_sweeps(monkeypatch):
         pairs = _same_top_pairs(N, 2)
         assert len(pairs) == want
         for u, v in pairs:
+            # a kept read-off would hide a repeated pair's system from the spy
+            mfcore._contracted.cache_clear()
             ext_qdim(compile_web(u), compile_web(v))
     assert len(seen) == 135 and max(len(ring) for ring, _ in seen) == 4
     for ring, fs in seen:
@@ -1294,6 +1369,60 @@ def test_certificate_ranks_only_the_window(monkeypatch):
     with pytest.raises(IrreducibleToFinite):
         mfcore._certified_hilbert(XZ, [X**2, X * Z])  # T = 4
     assert asked == [6, 8]
+
+
+def _ranks_taken(monkeypatch):
+    """(which rank, its value) for each rank _graded_quotient_dim takes from
+    now on, in order, with the rows it was handed."""
+    taken = []
+    for name, label in (("_rank_mod2", "mod 2"), ("_rank_mod_p", "mod p"),
+                        ("fraction_rank", "exact")):
+        def spied(rows, *args, _real=getattr(mfcore, name), _label=label):
+            out = _real(rows, *args)
+            taken.append((_label, out, rows))
+            return out
+        monkeypatch.setattr(mfcore, name, spied)
+    return taken
+
+
+def test_a_window_of_full_rank_mod_2_needs_no_other_rank(monkeypatch):
+    taken = _ranks_taken(monkeypatch)
+    assert mfcore._certified_hilbert(XZ, [X**2, Z**2]) == unbalanced(0, 2, 4, 6)
+    # degree 8 holds x^4, x^2 z, z^2 and degree 10 holds x^5, x^3 z, x z^2
+    assert [(label, rank) for label, rank, _ in taken] == [("mod 2", 3), ("mod 2", 3)]
+
+
+XY = PolyRing([("x", 2), ("y", 2)])
+
+
+def test_a_window_short_mod_2_is_certified_mod_an_odd_prime(monkeypatch):
+    # x^2 + y^2 and x^2 - y^2 agree mod 2, so the degree-6 window, T + 2 for
+    # T = 4, has rank 2 mod 2 but its full 4 over Q, and so mod 3
+    x, y = XY.var("x"), XY.var("y")
+    taken = _ranks_taken(monkeypatch)
+    assert mfcore._certified_hilbert(XY, [x**2 + y**2, x**2 - y**2]) == unbalanced(0, 2, 2, 4)
+    assert [(label, rank) for label, rank, _ in taken] == [("mod 2", 2), ("mod p", 4)]
+    assert mfcore._rank_mod_p(taken[0][2], 4, 3) == 4
+
+
+def test_a_window_short_mod_p_goes_to_the_exact_rank(monkeypatch):
+    # (x^2, xz) is certified at degree 6 mod 2; at degree 8, z^2 survives, so
+    # every rank falls short and the exact one gives the dimension
+    taken = _ranks_taken(monkeypatch)
+    with pytest.raises(IrreducibleToFinite, match="graded dimension 1 at degree 8"):
+        mfcore._certified_hilbert(XZ, [X**2, X * Z])
+    assert [(label, rank) for label, rank, _ in taken] == [
+        ("mod 2", 2), ("mod 2", 2), ("mod p", 2), ("exact", 2)]
+
+
+def test_the_certificate_scales_equations_to_primitive_integers():
+    # an equation with fractions is the same ideal as its primitive multiple
+    x, y = XY.var("x"), XY.var("y")
+    f = x**2 * Fraction(1, 2) + y**2 * Fraction(3, 4)
+    assert mfcore._primitive(f) == {(2, 0): 2, (0, 2): 3}
+    assert mfcore._primitive(x * y * (-6)) == {(1, 1): -1}
+    assert (mfcore._graded_quotient_dim(XY, [f, x * y * Fraction(2, 3)], 4)
+            == mfcore._graded_quotient_dim(XY, [2 * x**2 + 3 * y**2, x * y], 4) == 1)
 
 
 @pytest.mark.parametrize("fs", [[XZ.const(1), Z], [XZ.const(3), Z**5], [XZ.const(1), XZ.const(2)]])

@@ -497,6 +497,16 @@ def test_ev_closed_validation():
         ev_closed(not_hw)
 
 
+def test_ev_closed_checks_the_boundary_of_an_empty_combination():
+    # no terms is no licence: the boundary is checked as for any combination,
+    # and only Zero is 0 unchecked
+    with pytest.raises(ValueError, match="ladder is not closed"):
+        ev_closed(WebLinComb(2, 2, (2, 0), (1, 1)))
+    with pytest.raises(ValueError, match=r"base \(1, 1\) is not the highest weight pattern"):
+        ev_closed(WebLinComb(2, 2, (1, 1), (1, 1)))
+    assert ev_closed(Zero) == LaurentPoly.zero()
+
+
 # ------------------------------------------------------------------ the form
 
 
@@ -812,7 +822,7 @@ def test_closed_values_are_one_sum_of_exponents(monkeypatch):
 def test_closed_values_build_no_webs_or_bases(monkeypatch):
     # each pair of terms is one push along the ladders' own slices, so once
     # the pieces are cached no ladder, combination or basis is built;
-    # reduce_to_highest builds at most its identity ladder, for its check
+    # reduce_to_highest checks its boundary without building anything
     from qwebs import relations
     from qwebs.relations import reduce_to_highest
 
@@ -843,3 +853,4 @@ def test_closed_values_build_no_webs_or_bases(monkeypatch):
     for u in closed:
         reduce_to_highest(u)
     assert set(built) <= {"Ladder"}
+    assert built == []
